@@ -104,7 +104,7 @@ def cmd_verify(args) -> int:
         return VERIFICATION_FAILURE
     chain = build_chain(T.elements, T.degree)
     order = chain.order()
-    verdict = generates(T.elements, T.degree)
+    verdict = generates(T.elements, T.degree, chain)
     preds = gensets.predicates(T, include_balance=args.balance)
     print(f"degree={T.degree}")
     print(f"type={T.cycle_type}")

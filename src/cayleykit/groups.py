@@ -1,12 +1,18 @@
 """Permutation-group machinery: stabilizer chains, orbits, closure enumeration.
 
 The stabilizer chain is a Schreier-Sims construction with two phases.  A
-seeded, reproducible element pump first feeds products of generators into the
-chain; because the product of level-orbit sizes can never exceed the group
-order, reaching n! (or n!/2 when every generator is even) certifies the chain
-is complete with no further work.  Groups that miss those targets fall back
-to the classical deterministic Schreier verification, which is exact for any
-input.  Orders are Python integers, so 22! and beyond stay exact.
+seeded, reproducible product-replacement pump (the "rattle" of Leedham-Green
+and Murray, after Celler et al. 1995) first feeds near-uniform random group
+elements into the chain: it keeps at least ten state slots, replaces one slot
+by its product with another, and sifts a running accumulator of the new slots
+rather than the strongly correlated slots themselves.  The certificate is
+exact, not probabilistic: every level's orbit is an orbit of a subgroup of
+the matching point stabilizer, so the product of level-orbit sizes can never
+exceed the group order, and reaching n! (or n!/2 when every generator is
+even) proves the chain complete.  Groups that miss those targets (anything
+but S_n or A_n), and any input on which the pump stalls, fall back to the
+classical deterministic Schreier verification, which is exact for any input.
+Orders are Python integers, so 22! and beyond stay exact.
 
 Finished chains are immutable in practice and safe to share between threads;
 all queries are pure.
@@ -20,14 +26,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded
-from .perms import Permutation
+from .perms import Permutation, compose_maps
 
 _PUMP_SEED = 0x5EED
-
-
-def _compose(a: tuple, b: tuple) -> tuple:
-    """Apply ``a`` then ``b`` (0-based image tables)."""
-    return tuple(b[x] for x in a)
+_PUMP_SLOTS = 10
+_PUMP_WARMUP = 30
 
 
 def _invert(a: tuple) -> tuple:
@@ -61,7 +64,7 @@ class _Level:
         for p in self._order:
             q = g[p]
             if q not in self.transversal:
-                u = _compose(self.transversal[p][0], g)
+                u = compose_maps(self.transversal[p][0], g)
                 self.transversal[q] = (u, _invert(u))
                 self._order.append(q)
                 frontier.append(q)
@@ -72,7 +75,7 @@ class _Level:
                 for h in self.gens:
                     q = h[p]
                     if q not in self.transversal:
-                        u = _compose(up, h)
+                        u = compose_maps(up, h)
                         self.transversal[q] = (u, _invert(u))
                         self._order.append(q)
                         nxt.append(q)
@@ -113,7 +116,7 @@ class StabilizerChain:
             entry = level.transversal.get(p)
             if entry is None:
                 return g, i
-            g = _compose(g, entry[1])
+            g = compose_maps(g, entry[1])
         return g, len(self._levels)
 
     def _add_element(self, g: tuple, start: int = 0):
@@ -131,8 +134,17 @@ class StabilizerChain:
         return stop
 
     def _pump(self) -> bool:
-        """Feed seeded generator products into the chain until the order
-        matches its parity-forced ceiling (n! or n!/2); True on success."""
+        """Sift seeded product-replacement ("rattle") elements until the order
+        reaches its parity-forced ceiling (n! or n!/2); True on success.
+
+        The state holds at least ``_PUMP_SLOTS`` slots, filled by cycling
+        through the generators and mixed by a short warm-up.  Each step
+        replaces one slot by its product with another, distinct slot on a
+        random side, multiplies the accumulator by the new slot, and sifts
+        the accumulator.  Success is exact (the chain order never exceeds
+        the group order); after too many steps without growth the caller
+        falls back to ``_verify_schreier``.
+        """
         if not self.generators:
             return True
         n = self.degree
@@ -142,20 +154,33 @@ class StabilizerChain:
         if self.order() == target:
             return True
         rng = random.Random(_PUMP_SEED)
-        state = [g._map for g in self.generators]
+        gens = [g._map for g in self.generators]
+        state = [gens[i % len(gens)] for i in range(max(_PUMP_SLOTS, len(gens)))]
+        slots = range(len(state))
+        accumulator = self._identity
+
+        def step():
+            nonlocal accumulator
+            i, j = rng.sample(slots, 2)
+            if rng.random() < 0.5:
+                state[i] = compose_maps(state[i], state[j])
+            else:
+                state[i] = compose_maps(state[j], state[i])
+            accumulator = compose_maps(accumulator, state[i])
+
+        for _ in range(_PUMP_WARMUP):
+            step()
         stall = 0
-        limit = 60 + 6 * len(state) + 2 * n
+        limit = 60 + 6 * len(gens) + 2 * n
         while stall < limit:
-            i = rng.randrange(len(state))
-            j = rng.randrange(len(state))
-            word = _compose(state[i], state[j])
-            state[i] = word
-            before = self.order()
-            self._add_element(word)
-            now = self.order()
-            if now == target:
+            step()
+            # Installing a residue always grows the order; None means it sifted.
+            if self._add_element(accumulator) is None:
+                stall += 1
+            elif self.order() == target:
                 return True
-            stall = 0 if now > before else stall + 1
+            else:
+                stall = 0
         return False
 
     def _verify_schreier(self) -> None:
@@ -174,7 +199,7 @@ class StabilizerChain:
             for g in list(level.gens):
                 q = g[p]
                 uq_inv = level.transversal[q][1]
-                schreier = _compose(_compose(u, g), uq_inv)
+                schreier = compose_maps(compose_maps(u, g), uq_inv)
                 if schreier == self._identity:
                     continue
                 stop = self._add_element(schreier, i + 1)
@@ -263,13 +288,17 @@ def orbits(gens: Sequence[Permutation], n: int) -> OrbitPartition:
     return OrbitPartition(blocks)
 
 
-def generates(gens: Sequence[Permutation], n: int) -> str:
+def generates(gens: Sequence[Permutation], n: int,
+              chain: StabilizerChain | None = None) -> str:
     """Classify <gens>: ``symmetric``, ``alternating`` or ``other``.
 
     Compares the exact chain order against n! and n!/2; an intransitive group
-    reports ``other`` regardless of order.
+    reports ``other`` regardless of order.  Pass ``chain`` when the chain of
+    ``gens`` is already built, so it is not built again.
     """
-    order = build_chain(gens, n).order()
+    if chain is None:
+        chain = build_chain(gens, n)
+    order = chain.order()
     full = math.factorial(n)
     if order == full:
         return "symmetric"
@@ -298,7 +327,7 @@ def enumerate_elements(gens: Sequence[Permutation], n: int, cap: int) -> list:
         nxt = []
         for w in frontier:
             for t in tables:
-                candidate = tuple(t[x] for x in w)
+                candidate = compose_maps(w, t)
                 if candidate not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(f"group closure exceeds cap {cap}")

@@ -11,7 +11,19 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
+
+
+def compose_maps(a: tuple, b: tuple) -> tuple:
+    """Image table of "apply ``a``, then ``b``" (0-based tables of one degree).
+
+    ``itemgetter`` with a single index returns the item, not a 1-tuple, so
+    degrees below 2 take the plain loop.
+    """
+    if len(a) > 1:
+        return itemgetter(*a)(b)
+    return tuple(b[x] for x in a)
 
 
 class Permutation:
@@ -92,8 +104,7 @@ class Permutation:
             raise ValueError(
                 f"degree mismatch: {len(self._map)} vs {len(other._map)}"
             )
-        o = other._map
-        return Permutation._from_zero_based(tuple(o[x] for x in self._map))
+        return Permutation._from_zero_based(compose_maps(self._map, other._map))
 
     def __pow__(self, exponent: int) -> "Permutation":
         if exponent < 0:

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -83,6 +84,35 @@ class TestVerify:
         code, _, stderr = run_cli(["verify", str(gens)], capsys)
         assert code == 2
         assert "cycle type" in stderr
+
+    def test_verify_builds_one_chain(self, capsys, tmp_path, monkeypatch):
+        from cayleykit import cli, groups
+
+        degrees = []
+        real = groups.build_chain
+
+        def counting(gens, n):
+            degrees.append(n)
+            return real(gens, n)
+
+        monkeypatch.setattr(cli, "build_chain", counting)
+        monkeypatch.setattr(groups, "build_chain", counting)
+        gens = tmp_path / "set.gens"
+        run_cli(["construct", "--type", "4", "--n", "22", "--out", str(gens)], capsys)
+        code, stdout, _ = run_cli(["verify", str(gens)], capsys)
+        assert code == 0 and "generates=symmetric" in stdout
+        assert degrees == [22]
+
+    def test_basic_tree_k5_on_56_points(self, capsys, tmp_path):
+        gens = tmp_path / "basic5.gens"
+        code, _, _ = run_cli(
+            ["construct", "--type", "2,2,2,2,2", "--n", "56", "--out", str(gens)], capsys
+        )
+        assert code == 0
+        code, stdout, _ = run_cli(["verify", str(gens)], capsys)
+        assert code == 0
+        assert f"order={math.factorial(56)}\n" in stdout
+        assert "generates=symmetric\n" in stdout
 
     def test_missing_file(self, capsys):
         assert run_cli(["verify", "/nonexistent/x.gens"], capsys)[0] == 1

@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleykit.errors import CapExceeded
+from cayleykit.gensets import construct_basic_tree, construct_cycle_tree
 from cayleykit.groups import (
+    StabilizerChain,
     build_chain,
     contains,
     enumerate_elements,
@@ -61,6 +64,113 @@ class TestBuildChain:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             build_chain([P("(1 2)", 3)], 4)
+
+
+class TestPump:
+    """The product-replacement pump alone certifies S_n on sets whose
+    correlated state-word sifting used to stall into the Schreier check."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: construct_cycle_tree(4, 22), id="4@22"),
+            pytest.param(lambda: construct_cycle_tree(4, 30), id="4@30"),
+            *(pytest.param(lambda n=n: construct_cycle_tree(6, n), id=f"6@{n}")
+              for n in range(17, 22)),
+            pytest.param(lambda: construct_basic_tree(3), id="2,2,2@22"),
+            pytest.param(lambda: construct_basic_tree(5), id="basic-k5@56"),
+        ],
+    )
+    def test_certifies_symmetric_group_without_fallback(self, make, monkeypatch):
+        def no_fallback(self):
+            raise AssertionError("the pump fell back to the Schreier check")
+
+        monkeypatch.setattr(StabilizerChain, "_verify_schreier", no_fallback)
+        T = make()
+        assert group_order(build_chain(T.elements, T.degree)) == math.factorial(T.degree)
+
+    def test_generates_reuses_a_built_chain(self, monkeypatch):
+        gens = [P("(1 2)", 4), P("(2 3)", 4), P("(3 4)", 4)]
+        chain = build_chain(gens, 4)
+        monkeypatch.setattr("cayleykit.groups.build_chain", None)
+        assert generates(gens, 4, chain) == "symmetric"
+
+
+def random_group_generators(rng, n):
+    """Seeded generator tuples of degree n: random, intransitive,
+    imprimitive (block-preserving) and dihedral groups."""
+    kind = rng.choice(("random", "intransitive", "imprimitive", "dihedral"))
+    points = list(range(n))
+    if kind == "dihedral":
+        rotation = points[1:] + points[:1]
+        reflection = [(-i) % n for i in points]
+        return kind, [rotation, reflection]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        if kind == "random":
+            table = points[:]
+            rng.shuffle(table)
+        elif kind == "intransitive":
+            cut = rng.randint(1, n - 1)
+            low, high = points[:cut], points[cut:]
+            rng.shuffle(low)
+            rng.shuffle(high)
+            table = low + high
+        else:
+            size = next((b for b in (3, 2) if n % b == 0 and n > b), 1)
+            blocks = [points[i:i + size] for i in range(0, n, size)]
+            rng.shuffle(blocks)
+            for block in blocks:
+                rng.shuffle(block)
+            table = [0] * n
+            for src, dst in zip(range(0, n, size), blocks):
+                for offset, point in enumerate(dst):
+                    table[src + offset] = point
+        gens.append(table)
+    return kind, gens
+
+
+class TestSympyOracle:
+    def test_orders_and_verdicts_match_sympy(self):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        rng = random.Random(2024)
+        kinds = set()
+        for _ in range(160):
+            n = rng.randint(3, 9)
+            kind, tables = random_group_generators(rng, n)
+            kinds.add(kind)
+            gens = [Permutation._from_zero_based(tuple(t)) for t in tables]
+            oracle = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(t) for t in tables]
+            )
+            assert group_order(build_chain(gens, n)) == oracle.order(), (kind, tables)
+            expected = (
+                "symmetric" if oracle.is_symmetric
+                else "alternating" if oracle.is_alternating
+                else "other"
+            )
+            assert generates(gens, n) == expected, (kind, tables)
+        assert kinds == {"random", "intransitive", "imprimitive", "dihedral"}
+
+
+@st.composite
+def generator_words(draw):
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(1, n + 1)).map(Permutation), min_size=1, max_size=3))
+    word = draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), st.booleans()), max_size=12))
+    return n, gens, word
+
+
+class TestMembership:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(generator_words())
+    def test_random_generator_words_are_members(self, case):
+        n, gens, word = case
+        chain = build_chain(gens, n)
+        product = Permutation.identity(n)
+        for index, inverted in word:
+            product = product * (gens[index].inverse() if inverted else gens[index])
+        assert contains(chain, product)
 
 
 class TestGroupOrder:

@@ -2,12 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleykit.perms import (
     CycleType,
     Permutation,
     analyze,
     compose,
+    compose_maps,
     in_extended_class,
     inverse,
 )
@@ -70,6 +72,49 @@ class TestInverse:
             n = rng.randint(1, 30)
             sigma = random_perm(rng, n)
             assert compose(sigma, inverse(sigma)).is_identity()
+
+
+def perms_of_degree(n):
+    return st.permutations(range(1, n + 1)).map(Permutation)
+
+
+def perm_tuples(size, max_degree=30):
+    """``size`` permutations sharing one degree in 1..max_degree."""
+    return st.integers(1, max_degree).flatmap(
+        lambda n: st.tuples(*(perms_of_degree(n) for _ in range(size)))
+    )
+
+
+class TestComposeProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(perm_tuples(3))
+    def test_associativity(self, triple):
+        a, b, c = triple
+        assert (a * b) * c == a * (b * c)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(perm_tuples(1))
+    def test_product_with_inverse_is_identity(self, single):
+        (a,) = single
+        identity = Permutation.identity(a.degree)
+        assert a * a.inverse() == identity
+        assert a.inverse() * a == identity
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(perm_tuples(2))
+    def test_product_applies_left_factor_first(self, pair):
+        a, b = pair
+        product = a * b
+        assert isinstance(product._map, tuple)
+        assert all(product(x) == b(a(x)) for x in range(1, a.degree + 1))
+
+    @settings(deadline=None, derandomize=True)
+    @given(perm_tuples(2, max_degree=2))
+    def test_degree_one_and_two_products_are_tables(self, pair):
+        a, b = pair
+        table = compose_maps(a._map, b._map)
+        assert type(table) is tuple and len(table) == a.degree
+        assert (a * b).images == tuple(b(a(x)) for x in range(1, a.degree + 1))
 
 
 class TestCycleCodec:
