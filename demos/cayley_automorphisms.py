@@ -41,7 +41,7 @@ print("1. The Cayley graph of the 5-point transposition path")
 print("=" * 72)
 graph = build_cayley(path5)
 print(f"{graph.vertex_count} vertices, {len(graph.edges)} edges, "
-      f"all degrees {len(graph.neighbors[0])}")
+      f"all degrees {len(graph.adjacency[0])}")
 ok, reasons = is_normal(path5)
 print(f"tree-with-sparse-leaves condition: {ok} {reasons or ''}")
 

@@ -1,5 +1,5 @@
-"""Graph automorphism groups at desk scale, set-stabilizing group
-automorphisms, and the semidirect-product order identity report.
+"""Graph automorphism groups at desk scale, the conjugations stabilizing a
+connection set T u T^-1, and the semidirect-product order identity report.
 
 The graph search is individualization-refinement: vertices are colored by an
 equitable refinement whose signatures mix neighbor colors with per-edge
@@ -21,28 +21,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded
-from .cayley import CayleyGraph, build_cayley, cyc_graph
-from .gensets import GeneratorSet, is_split
+from .cayley import CayleyGraph, build_cayley, count_4cycles_through, cyc_graph
+from .gensets import GeneratorSet
+from .graphs import SimpleGraph
 from .perms import Permutation
-
-
-def _adjacency_of(graph) -> list:
-    if isinstance(graph, CayleyGraph):
-        return graph.neighbors
-    return graph.adjacency
-
-
-def _count_4cycles(adj: list, u: int, v: int, sets: list) -> int:
-    total = 0
-    for a in sets[u]:
-        if a == v:
-            continue
-        for b in sets[v]:
-            if b == u or b == a:
-                continue
-            if b in sets[a]:
-                total += 1
-    return total
 
 
 class GraphAutomorphism:
@@ -68,16 +50,11 @@ class GraphAutomorphism:
 
 
 class _AutSearch:
-    def __init__(self, adj: list):
-        self.adj = adj
-        self.sets = [set(nbrs) for nbrs in adj]
-        self.n = len(adj)
-        inv = {}
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    inv[(u, v)] = _count_4cycles(adj, u, v, self.sets)
-        self.edge_inv = inv
+    def __init__(self, graph: SimpleGraph):
+        self.adj = graph.adjacency
+        self.sets = [set(nbrs) for nbrs in self.adj]
+        self.n = graph.vertex_count
+        self.edge_inv = {e: count_4cycles_through(graph, e) for e in graph.edges}
 
     def _inv(self, u: int, v: int) -> int:
         return self.edge_inv[(u, v) if u < v else (v, u)]
@@ -183,17 +160,15 @@ class _AutSearch:
         return orbit
 
 
-def graph_aut_order(graph, budget: int = 2000) -> tuple:
+def graph_aut_order(graph: SimpleGraph, budget: int = 2000) -> tuple:
     """Exact |Aut(G)| with verified generating automorphisms.
 
-    Accepts a CayleyGraph or a SimpleGraph.  Raises BudgetExceeded when the
-    vertex count is past ``budget``.
+    Raises BudgetExceeded when the vertex count is past ``budget``.
     """
-    adj = _adjacency_of(graph)
-    if len(adj) > budget:
-        raise BudgetExceeded(f"{len(adj)} vertices exceeds budget {budget}")
-    order, raw = _AutSearch(adj).run()
-    gens = [GraphAutomorphism(m, adj) for m in sorted(raw)]
+    if graph.vertex_count > budget:
+        raise BudgetExceeded(f"{graph.vertex_count} vertices exceeds budget {budget}")
+    order, raw = _AutSearch(graph).run()
+    gens = [GraphAutomorphism(m, graph.adjacency) for m in sorted(raw)]
     return order, gens
 
 
@@ -201,13 +176,15 @@ def graph_aut_order(graph, budget: int = 2000) -> tuple:
 
 
 def aut_snt(T: GeneratorSet, n: int) -> list:
-    """All conjugations of S_n preserving T as a set.
+    """All conjugations of S_n preserving the connection set S = T u T^-1.
 
-    Inner automorphisms only; this is the whole automorphism group of S_n
-    for n != 6, and callers at n = 6 get the caveat flagged in reports.
-    Exhaustive over S_n up to n = 8, pruned backtracking beyond.
+    S, not T, is what the Cayley graph sees; the two stabilizers agree when
+    T consists of involutions.  Inner automorphisms only; this is the whole
+    automorphism group of S_n for n != 6, and callers at n = 6 get the
+    caveat flagged in reports.  Exhaustive over S_n up to n = 8, pruned
+    backtracking beyond.
     """
-    target = set(T.elements)
+    target = set(T.elements) | {g.inverse() for g in T.elements}
     if n <= 8:
         found = [
             sigma
@@ -273,7 +250,7 @@ def _conjugation_search(elements: list, n: int) -> list:
 def right_representation(graph: CayleyGraph, g: Permutation) -> GraphAutomorphism:
     """The vertex map x -> x * g; verified edge-preserving on construction."""
     mapping = [graph.vertex_of(x * g) for x in graph.vertex_perm]
-    return GraphAutomorphism(mapping, graph.neighbors)
+    return GraphAutomorphism(mapping, graph.adjacency)
 
 
 def translate_automorphism(graph: CayleyGraph, phi: GraphAutomorphism,
@@ -291,7 +268,7 @@ def translate_automorphism(graph: CayleyGraph, phi: GraphAutomorphism,
         graph.vertex_of(graph.vertex_perm[phi(graph.vertex_of(x * y))] * tail)
         for x in graph.vertex_perm
     ]
-    result = GraphAutomorphism(mapping, graph.neighbors)
+    result = GraphAutomorphism(mapping, graph.adjacency)
     if result(0) != 0:
         raise AssertionError("translated automorphism failed to fix the identity")
     return result
@@ -305,7 +282,8 @@ class AutReport:
     """Orders around Aut(Cay(S_n, T)) = R(S_n) x| Aut(S_n, T).
 
     ``identity_holds`` is the exact integer identity
-    graph_aut_order == n_factorial * aut_snt_order.  ``cyc_aut_order`` is the
+    graph_aut_order == n_factorial * aut_snt_order, where aut_snt_order
+    counts the conjugations preserving S = T u T^-1.  ``cyc_aut_order`` is the
     automorphism count of the point-level cycle graph, reported for
     comparison only.  ``normal`` records whether the hypothesis held, and
     ``n6_caveat`` flags that outer automorphisms were not searched at n = 6.
@@ -371,9 +349,10 @@ def verify_order_identity(T: GeneratorSet, n: int, budget: int = 2000,
     """Compute both sides of the semidirect order identity independently.
 
     Left side: the graph automorphism order by partition-refinement search.
-    Right side: n! times the number of set-preserving conjugations.  Non-tree
-    inputs still produce a report (the hypothesis status is recorded), since
-    those data points bear on the conjecture that the identity holds anyway.
+    Right side: n! times the number of conjugations preserving T u T^-1.
+    Non-tree inputs still produce a report (the hypothesis status is
+    recorded), since those data points bear on the conjecture that the
+    identity holds anyway.
     """
     from .cayley import is_normal as _is_normal
 

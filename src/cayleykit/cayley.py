@@ -7,14 +7,15 @@ first (left multiplication in the left-to-right word order).  Under this
 rule right translation x -> x * g is a graph automorphism, which the
 automorphism module relies on.
 
-Graph construction is single-threaded and deterministic: vertices are the
-BFS closure order of the group engine, so indices are reproducible.  A
-finished graph is never mutated.
+A CayleyGraph is a labeled SimpleGraph that also keeps the group element of
+each vertex.  Graph construction is single-threaded and deterministic:
+vertices are the BFS closure order of the group engine, so indices are
+reproducible.  A finished graph is never mutated.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import groups
 from .graphs import SimpleGraph
@@ -22,14 +23,14 @@ from .gensets import GeneratorSet, is_split
 from .perms import Permutation
 
 
-class CayleyGraph:
-    """Cay(<T>, T) as an undirected simple graph with labeled edges.
+class CayleyGraph(SimpleGraph):
+    """Cay(<T>, T): a SimpleGraph plus the group data behind its vertices.
 
     ``vertex_perm[i]`` is the group element of vertex i (vertex 0 is the
-    identity); ``perm_index`` is the reverse lookup.  ``adjacency[u]`` lists
-    (neighbor, labels) pairs where each label is a (generator index,
-    direction) pair with direction +1 for y = t*x and -1 for y = t^-1 * x;
-    for involutions the two coincide and a single +1 label is kept.
+    identity); ``perm_index`` is the reverse lookup.  The label of edge
+    (u, v), u < v, is read from u: "i+" when v = t_i * u and "i-" when
+    v = t_i^-1 * u; an involution carries only "i+".  Labels of an edge are
+    in generator-index order.
     """
 
     def __init__(self, generating_set: GeneratorSet, cap: int = 1_000_000):
@@ -40,52 +41,27 @@ class CayleyGraph:
             generating_set.elements, generating_set.degree, cap
         )
         self.perm_index = {p: i for i, p in enumerate(self.vertex_perm)}
-        self.vertex_count = len(self.vertex_perm)
 
-        gens = generating_set.elements
-        inverses = [g.inverse() for g in gens]
-        labeled: dict = {}
+        moves = []
+        for i, t in enumerate(generating_set.elements):
+            moves.append((t, f"{i}+"))
+            t_inv = t.inverse()
+            if t_inv != t:
+                moves.append((t_inv, f"{i}-"))
+        labels: dict = {}
         for u, x in enumerate(self.vertex_perm):
-            for i, (t, t_inv) in enumerate(zip(gens, inverses)):
-                involution = t == t_inv
-                for direction, gen in ((1, t), (-1, t_inv)):
-                    if direction == -1 and involution:
-                        continue
-                    v = self.perm_index[gen * x]
-                    if u < v:
-                        labeled.setdefault((u, v), []).append((i, direction))
-                    elif v < u:
-                        # Seen again from the other endpoint with the mirrored
-                        # direction; record only once, from the smaller side.
-                        continue
-        self.edge_labels_raw = {
-            e: tuple(sorted(set(labels))) for e, labels in labeled.items()
-        }
-        self.edges = tuple(sorted(self.edge_labels_raw))
-        adjacency: list = [[] for _ in range(self.vertex_count)]
-        for (u, v), labels in sorted(self.edge_labels_raw.items()):
-            adjacency[u].append((v, labels))
-            mirrored = tuple(sorted((i, -d) if not self._is_involution(i) else (i, d)
-                                    for i, d in labels))
-            adjacency[v].append((u, mirrored))
-        self.adjacency = [sorted(entry) for entry in adjacency]
-        self.neighbors = [sorted(v for v, _ in entry) for entry in self.adjacency]
-
-    def _is_involution(self, i: int) -> bool:
-        g = self.generating_set.elements[i]
-        return g == g.inverse()
-
-    @property
-    def edge_labels(self) -> dict:
-        """Edge -> printable label strings, e.g. ('0+', '2-')."""
-        out = {}
-        for (u, v), labels in self.edge_labels_raw.items():
-            out[(u, v)] = tuple(f"{i}{'+' if d > 0 else '-'}" for i, d in labels)
-        return out
+            for gen, label in moves:
+                v = self.perm_index[gen * x]
+                # each edge is recorded once, from its smaller endpoint
+                if u < v:
+                    labels[(u, v)] = labels.get((u, v), ()) + (label,)
+        super().__init__(len(self.vertex_perm), labels.keys(), labels)
 
     def label_multiplicity(self, u: int) -> int:
-        """Degree counting labels, i.e. |T union T^-1| for every vertex."""
-        return sum(len(labels) for _, labels in self.adjacency[u])
+        """Labels on the edges at u: one per involution, two per other generator."""
+        return sum(
+            len(self.edge_labels[(min(u, v), max(u, v))]) for v in self.adjacency[u]
+        )
 
     def vertex_of(self, perm: Permutation) -> int:
         try:
@@ -94,9 +70,7 @@ class CayleyGraph:
             raise ValueError(f"{perm.to_text()} is not a vertex") from None
 
     def to_simple_graph(self) -> SimpleGraph:
-        graph = SimpleGraph(self.vertex_count, self.edges)
-        graph.edge_labels = self.edge_labels  # type: ignore[attr-defined]
-        return graph
+        return self
 
 
 def build_cayley(generating_set: GeneratorSet, cap: int = 1_000_000) -> CayleyGraph:
@@ -198,19 +172,15 @@ def is_normal(generating_set: GeneratorSet, starts: Optional[dict] = None) -> tu
 # -- local cycle-structure probes ---------------------------------------------
 
 
-def count_4cycles_through(graph: CayleyGraph, edge: tuple) -> int:
+def count_4cycles_through(graph: SimpleGraph, edge: tuple) -> int:
     """Number of 4-cycles through the undirected edge {x, y}."""
     x, y = edge
-    nx = set(graph.neighbors[x])
-    ny = set(graph.neighbors[y])
-    if y not in nx:
+    adj = graph.adjacency
+    if y not in adj[x]:
         raise ValueError(f"({x}, {y}) is not an edge")
-    count = 0
-    for a in nx - {y}:
-        for b in ny - {x}:
-            if a != b and b in graph.neighbors[a]:
-                count += 1
-    return count
+    ny = set(adj[y])
+    ny.discard(x)
+    return sum(len(ny.intersection(adj[a])) for a in adj[x] if a != y)
 
 
 def same_element_criterion(graph: CayleyGraph, x: int, y: int, z: int) -> bool:
@@ -236,7 +206,7 @@ def commuting_4cycle(graph: CayleyGraph, t1: Permutation, t2: Permutation,
     e = 0
     v1 = graph.vertex_of(t1)
     v2 = graph.vertex_of(t2)
-    common = (set(graph.neighbors[v1]) & set(graph.neighbors[v2])) - {e}
+    common = (set(graph.adjacency[v1]) & set(graph.adjacency[v2])) - {e}
     if strict is None:
         strict = is_split(graph.generating_set)
     if t1 * t2 == t2 * t1:
@@ -285,6 +255,6 @@ def walk_in_graph(graph: CayleyGraph, word: list) -> list:
     """
     walk = [graph.vertex_of(p.inverse()) for p in word]
     for a, b in zip(walk, walk[1:]):
-        if b not in graph.neighbors[a]:
+        if b not in graph.adjacency[a]:
             raise AssertionError("vertex word does not trace a walk in the graph")
     return walk

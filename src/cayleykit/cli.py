@@ -126,11 +126,10 @@ def cmd_verify(args) -> int:
 def cmd_cayley(args) -> int:
     T = gensets.GeneratorSet.from_text(_read(args.set))
     graph = build_cayley(T, cap=args.cap)
-    simple = graph.to_simple_graph()
     if args.format == "dot":
-        _write(export_dot(simple), args.out)
+        _write(export_dot(graph), args.out)
     else:
-        _write(export_edge_list(simple), args.out)
+        _write(export_edge_list(graph), args.out)
     print(f"vertices={graph.vertex_count} edges={len(graph.edges)}")
     return 0
 

@@ -1,6 +1,10 @@
-"""Plain undirected graphs, deterministic serialization, and small factories.
+"""Undirected graphs with optional edge labels, deterministic serialization,
+and small factories.
 
-Vertices are 0-based integers.  The edge-list format is::
+Vertices are 0-based integers.  A graph is its sorted edge tuple, the sorted
+neighbor lists built from it, and an ``edge_labels`` dict (empty when the
+graph is unlabeled); Cayley graphs are the labeled subclass.  The edge-list
+format is::
 
     vertices=<count>
     u v [label1[,label2...]]
@@ -15,9 +19,14 @@ from typing import Iterable, Optional, Sequence
 
 
 class SimpleGraph:
-    """Undirected graph without loops or parallel edges."""
+    """Undirected graph without loops or parallel edges.
 
-    def __init__(self, vertex_count: int, edges: Iterable[tuple]):
+    ``edge_labels`` maps an edge (u, v) with u < v to a tuple of label
+    strings; graphs without labels store {}.
+    """
+
+    def __init__(self, vertex_count: int, edges: Iterable[tuple],
+                 edge_labels: Optional[dict] = None):
         if vertex_count < 0:
             raise ValueError("vertex count must be nonnegative")
         self.vertex_count = vertex_count
@@ -29,6 +38,7 @@ class SimpleGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             seen.add((min(u, v), max(u, v)))
         self.edges = tuple(sorted(seen))
+        self.edge_labels = edge_labels or {}
         self._adj: Optional[list] = None
 
     @property
@@ -65,10 +75,11 @@ class SimpleGraph:
             isinstance(other, SimpleGraph)
             and self.vertex_count == other.vertex_count
             and self.edges == other.edges
+            and self.edge_labels == other.edge_labels
         )
 
     def __repr__(self) -> str:
-        return f"SimpleGraph({self.vertex_count} vertices, {len(self.edges)} edges)"
+        return f"{type(self).__name__}({self.vertex_count} vertices, {len(self.edges)} edges)"
 
 
 # -- named graphs used throughout the test corpus ---------------------------
@@ -102,14 +113,9 @@ def path_graph(n: int) -> SimpleGraph:
 # -- serialization -----------------------------------------------------------
 
 
-def _edge_labels(graph) -> dict:
-    labels = getattr(graph, "edge_labels", None)
-    return labels if labels is not None else {}
-
-
-def export_edge_list(graph) -> str:
+def export_edge_list(graph: SimpleGraph) -> str:
     """Lossless, deterministic edge list; includes labels when present."""
-    labels = _edge_labels(graph)
+    labels = graph.edge_labels
     lines = [f"vertices={graph.vertex_count}"]
     for u, v in graph.edges:
         tag = labels.get((u, v))
@@ -120,11 +126,10 @@ def export_edge_list(graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def import_edge_list(text: str):
+def import_edge_list(text: str) -> SimpleGraph:
     """Parse the edge-list format; errors carry 1-based line numbers.
 
-    Returns a SimpleGraph; when label columns are present the parsed labels
-    are attached as ``edge_labels`` ({(u, v): tuple of strings}).
+    Label columns become the graph's ``edge_labels``.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip().startswith("vertices="):
@@ -150,12 +155,9 @@ def import_edge_list(text: str):
         if len(parts) == 3:
             labels[(min(u, v), max(u, v))] = tuple(parts[2].split(","))
     try:
-        graph = SimpleGraph(count, edges)
+        return SimpleGraph(count, edges, labels)
     except ValueError as exc:
         raise ValueError(f"edge list invalid: {exc}") from None
-    if labels:
-        graph.edge_labels = labels  # type: ignore[attr-defined]
-    return graph
 
 
 _DOT_PALETTE = (
@@ -164,9 +166,9 @@ _DOT_PALETTE = (
 )
 
 
-def export_dot(graph, name: str = "G") -> str:
+def export_dot(graph: SimpleGraph, name: str = "G") -> str:
     """Graphviz DOT text with one color class per generator index."""
-    labels = _edge_labels(graph)
+    labels = graph.edge_labels
     lines = [f"graph {name} {{"]
     for v in range(graph.vertex_count):
         lines.append(f"  {v};")

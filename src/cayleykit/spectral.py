@@ -178,7 +178,7 @@ def _power_iterate(op: _SparseOperator, shift: float, deflate: list,
     return lam, v, residual
 
 
-def _group_entries(values, residuals, k: int, tol: float) -> tuple:
+def _group_entries(values, residuals, tol: float) -> tuple:
     entries = []
     group_tol = max(math.sqrt(tol), 1e-9)
     for value, residual in zip(values, residuals):
@@ -212,7 +212,7 @@ def spectrum_topk(graph, kind: str = "adjacency", k: int = 1,
             v = vectors[:, idx]
             r = M @ v - values[idx] * v
             residuals.append(float(np.sqrt(r @ r)))
-        entries = _group_entries(values[: min(k, n)], residuals, k, tol)
+        entries = _group_entries(values[: min(k, n)], residuals, tol)
         return SpectrumReport(kind, "dense", tol, entries)
 
     op = _SparseOperator(graph, kind)
@@ -240,7 +240,7 @@ def spectrum_topk(graph, kind: str = "adjacency", k: int = 1,
         values.append(lam)
         residuals.append(residual)
         deflate.append((lam, vec))
-    entries = _group_entries(values[:k], residuals, k, tol)
+    entries = _group_entries(values[:k], residuals, tol)
     return SpectrumReport(kind, "iterative", tol, entries)
 
 
@@ -250,14 +250,13 @@ def check_regular_spectrum(graph, tol: float = 1e-8, seed: int = 0) -> dict:
     Asserts the top adjacency eigenvalue equals the degree within tol and
     that the spectral gap is strictly positive; returns the details.
     """
-    degrees = {len(nbrs) for nbrs in (graph.adjacency if not hasattr(graph, "neighbors") else graph.neighbors)}
+    degrees = {len(nbrs) for nbrs in graph.adjacency}
     if len(degrees) != 1:
         raise ValueError("graph is not regular")
-    simple = graph.to_simple_graph() if hasattr(graph, "to_simple_graph") else graph
-    if not simple.is_connected():
+    if not graph.is_connected():
         raise ValueError("graph is not connected")
     degree = degrees.pop()
-    report = spectrum_topk(simple, "adjacency", k=2, tol=tol, seed=seed)
+    report = spectrum_topk(graph, "adjacency", k=2, tol=tol, seed=seed)
     eigenvalues = report.eigenvalues
     lambda1 = eigenvalues[0]
     lambda2 = eigenvalues[1] if len(eigenvalues) > 1 else None

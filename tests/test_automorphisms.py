@@ -111,6 +111,19 @@ class TestAutSnt:
         assert P("(1 9)(2 8)(3 7)(4 6)", 9) in found
 
 
+    def test_counts_the_connection_set_of_a_cycle_pair(self):
+        # Aut(Cay(S_7, T)) has 40320 = 7! * 8 elements; the graph sees
+        # T u T^-1, whose stabilizer has 8 elements (T's alone has 2)
+        T = make_set(["(1 2 3 4)", "(4 5 6 7)"], 7, [4])
+        assert len(aut_snt(T, 7)) == 8
+
+    def test_backtracking_counts_the_connection_set(self):
+        texts = ["(1 2 3 4)", "(4 5 6 7)", "(6 7 8 9)"]
+        T = make_set(texts, 9, [4])
+        with_inverses = make_set(texts + ["(1 4 3 2)", "(4 7 6 5)", "(6 9 8 7)"], 9, [4])
+        assert aut_snt(T, 9) == aut_snt(with_inverses, 9)
+
+
 class TestRepresentations:
     def test_right_representation_by_generators(self):
         g = build_cayley(STAR4)
@@ -120,7 +133,7 @@ class TestRepresentations:
 
     def test_identity_translation(self):
         g = build_cayley(make_set(["(1 2)", "(2 3)"], 3, [2]))
-        identity_map = GraphAutomorphism(range(g.vertex_count), g.neighbors)
+        identity_map = GraphAutomorphism(range(g.vertex_count), g.adjacency)
         for y in g.vertex_perm:
             assert translate_automorphism(g, identity_map, y).mapping == identity_map.mapping
 

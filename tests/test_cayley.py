@@ -16,6 +16,7 @@ from cayleykit.cayley import (
 )
 from cayleykit.errors import CapExceeded
 from cayleykit.gensets import GeneratorSet, construct_cycle_pair
+from cayleykit.graphs import export_edge_list
 from cayleykit.groups import enumerate_elements
 from cayleykit.perms import CycleType, Permutation
 
@@ -36,7 +37,7 @@ class TestBuildCayley:
         g = build_cayley(make_set(["(1 2)", "(2 3)"], 3, [2]))
         assert g.vertex_count == 6
         assert len(g.edges) == 6
-        assert all(len(g.neighbors[v]) == 2 for v in range(6))
+        assert all(len(g.adjacency[v]) == 2 for v in range(6))
         # isomorphic to the 6-cycle: connected 2-regular on six vertices
 
     def test_single_edge(self):
@@ -44,10 +45,25 @@ class TestBuildCayley:
         assert g.vertex_count == 2 and len(g.edges) == 1
         assert g.label_multiplicity(0) == 1
 
+    def test_non_involution_labels(self):
+        # a 3-cycle and its inverse: every edge carries one label of each
+        # generator, read from the smaller endpoint, in generator-index order
+        g = build_cayley(make_set(["(1 2 3)", "(1 3 2)"], 3, [3]))
+        assert export_edge_list(g) == "vertices=3\n0 1 0+,1-\n0 2 0-,1+\n1 2 0+,1-\n"
+        assert [g.label_multiplicity(v) for v in range(3)] == [4, 4, 4]
+
+    def test_labels_keep_numeric_generator_order(self):
+        # generator 10 is the inverse of generator 2, so their labels share
+        # edges; "2+" must precede "10-" although it sorts after it as text
+        texts = ["(1 2 3)", "(1 2 4)", "(1 2 5)", "(1 3 4)", "(1 3 5)", "(1 4 5)",
+                 "(2 3 4)", "(2 3 5)", "(2 4 5)", "(3 4 5)", "(1 5 2)"]
+        g = build_cayley(make_set(texts, 5, [3]))
+        assert g.edge_labels[(0, g.vertex_of(P("(1 2 5)", 5)))] == ("2+", "10-")
+
     def test_cycle_pair_graph_shape(self):
         g = build_cayley(construct_cycle_pair(4), cap=6000)
         assert g.vertex_count == 5040
-        degrees = {len(g.neighbors[v]) for v in range(g.vertex_count)}
+        degrees = {len(g.adjacency[v]) for v in range(g.vertex_count)}
         assert degrees == {4}
         assert len(g.edges) == 5040 * 4 // 2
 
@@ -56,7 +72,7 @@ class TestBuildCayley:
         for u, x in enumerate(g.vertex_perm[:30]):
             for i, t in enumerate(PATH5.elements):
                 v = g.vertex_of(t * x)
-                assert v in g.neighbors[u]
+                assert v in g.adjacency[u]
 
     def test_right_multiplication_preserves_edges(self):
         g = build_cayley(make_set(["(1 2)", "(2 3)"], 3, [2]))
@@ -159,10 +175,10 @@ class TestFourCycleProbes:
         rng = random.Random(9)
         for _ in range(50):
             y = rng.randrange(g.vertex_count)
-            x, z = rng.sample(g.neighbors[y], 2)
-            lx = dict(g.adjacency[y])[x]
-            lz = dict(g.adjacency[y])[z]
-            if {i for i, _ in lx} == {i for i, _ in lz}:
+            x, z = rng.sample(g.adjacency[y], 2)
+            lx = g.edge_labels[(min(x, y), max(x, y))]
+            lz = g.edge_labels[(min(y, z), max(y, z))]
+            if {label[:-1] for label in lx} == {label[:-1] for label in lz}:
                 assert same_element_criterion(g, x, y, z)
 
     def test_equal_counts_do_not_pin_the_label_on_symmetric_trees(self):

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cayleykit.cayley import build_cayley
+from cayleykit.gensets import GeneratorSet
 from cayleykit.graphs import (
     SimpleGraph,
     complete_bipartite,
@@ -14,6 +17,34 @@ from cayleykit.graphs import (
     path_graph,
     petersen_graph,
 )
+from cayleykit.perms import CycleType, Permutation
+
+
+@st.composite
+def labeled_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    token = st.text(alphabet="0123456789+-ab", min_size=1, max_size=3)
+    labels = {}
+    for e in edges:
+        tags = draw(st.lists(token, max_size=3))
+        if tags:
+            labels[e] = tuple(tags)
+    return SimpleGraph(n, edges, labels)
+
+
+def seeded_cycle_set(seed):
+    """1-3 distinct k-cycles on at most 5 points, drawn from ``seed``."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 5)
+    k = rng.randint(2, n)
+    elements = []
+    for _ in range(rng.randint(1, 3)):
+        g = Permutation.from_cycles([rng.sample(range(1, n + 1), k)], n)
+        if g not in elements:
+            elements.append(g)
+    return GeneratorSet(n, elements, CycleType([k]))
 
 
 class TestSimpleGraph:
@@ -63,10 +94,26 @@ class TestEdgeListFormat:
             assert import_edge_list(export_edge_list(g)) == g
 
     def test_labels_survive_round_trip(self):
-        g = SimpleGraph(3, [(0, 1), (1, 2)])
-        g.edge_labels = {(0, 1): ("0+",), (1, 2): ("1+", "0-")}
+        g = SimpleGraph(3, [(0, 1), (1, 2)], {(0, 1): ("0+",), (1, 2): ("1+", "0-")})
         back = import_edge_list(export_edge_list(g))
         assert back.edge_labels == g.edge_labels
+
+    def test_equality_compares_labels(self):
+        labeled = SimpleGraph(2, [(0, 1)], {(0, 1): ("0+",)})
+        assert labeled != SimpleGraph(2, [(0, 1)])
+        assert labeled != SimpleGraph(2, [(0, 1)], {(0, 1): ("0-",)})
+        assert labeled == SimpleGraph(2, [(1, 0)], {(0, 1): ("0+",)})
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(labeled_graphs())
+    def test_round_trip_labeled_graphs(self, g):
+        assert import_edge_list(export_edge_list(g)) == g
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_round_trip_cayley_graphs(self, seed):
+        g = build_cayley(seeded_cycle_set(seed))
+        assert import_edge_list(export_edge_list(g)) == g
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 1"):
