@@ -160,10 +160,13 @@ def cmd_aut(args) -> int:
 
 
 def cmd_qh(args) -> int:
+    if args.k < 0:
+        raise ValueError("--k must be >= 0 (0 means n - 2)")
     graph = _load_graph(args.graph)
     if args.check_hamiltonian:
-        via = quasiham.hamiltonian_via_qh(graph)
+        # the oracle first: its vertex guard must fail before the hierarchy runs
         oracle = quasiham.brute_hamiltonian(graph)
+        via = quasiham.hamiltonian_via_qh(graph)
         verdict = "hamiltonian" if via else "non-hamiltonian"
         if via == oracle:
             print(f"{verdict} (matches oracle)")

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .errors import BudgetExceeded
 from .graphs import SimpleGraph, connected_components
 from .perms import Permutation
 
@@ -38,6 +39,12 @@ __all__ = [
     "qh_report",
     "coset_partition",
 ]
+
+
+# Node budget of one exhaustive conflict-free path search (a DFS over simple
+# residual paths, exponential in the worst case).  Searches on the test and
+# benchmark graphs (up to 10 vertices) enter at most 91 nodes.
+_CONFLICT_FREE_NODE_BUDGET = 100_000
 
 
 def _normalize_edges(edges: Iterable[tuple]) -> frozenset:
@@ -126,12 +133,6 @@ class FlowNetwork:
 
     def value(self) -> int:
         return sum(self.sx)
-
-    def _node_x(self, i: int) -> int:
-        return i
-
-    def _node_y(self, j: int) -> int:
-        return self.m + j
 
     def _residual_from(self, node: int, terminals: bool):
         """Deterministic residual out-arcs.
@@ -242,9 +243,6 @@ class FlowNetwork:
         """Swap the two sides and reverse the orientation."""
         return [self._mirror_node(node) for node in reversed(path)]
 
-    def _path_feasible(self, path: list) -> bool:
-        return all(self._feasible(a, b) for a, b in self._path_arcs(path))
-
     # -- conflict-free search -------------------------------------------------
     #
     # A path whose mirror must be applied alongside it may not consume an arc
@@ -285,12 +283,23 @@ class FlowNetwork:
     def _conflict_free_path(self, source: int, targets, terminals: bool,
                             banned_arcs: frozenset = frozenset()):
         """Exhaustive DFS for a simple residual path whose mirror is jointly
-        feasible with it; None when no such path exists.  Deterministic."""
+        feasible with it; None when no such path exists.  Deterministic.
+
+        Raises BudgetExceeded once the DFS has entered more than
+        ``_CONFLICT_FREE_NODE_BUDGET`` nodes.
+        """
         used_orbits: dict = {}
         path = [source]
         on_path = {source}
+        nodes = 0
 
         def descend(node: int):
+            nonlocal nodes
+            nodes += 1
+            if nodes > _CONFLICT_FREE_NODE_BUDGET:
+                raise BudgetExceeded(
+                    f"conflict-free path search exceeded {_CONFLICT_FREE_NODE_BUDGET} nodes"
+                )
             for nb in self._residual_from(node, terminals):
                 if nb in on_path or (node, nb) in banned_arcs:
                     continue
@@ -344,10 +353,10 @@ class FlowNetwork:
             self._lock((j, i))
             return True
         mark = self.checkpoint()
-        x_i, y_j = self._node_x(i), self._node_y(j)
+        x_i, y_j = i, self.m + j
         # The partner arc belongs to this forcing step; the repair path must
         # not consume it.
-        base_banned = frozenset({(self._node_x(j), self._node_y(i))})
+        base_banned = frozenset({(j, self.m + i)})
         self._set_flow((i, j), 1)
         self._lock((i, j))
         inner = self.checkpoint()
@@ -396,7 +405,7 @@ class FlowNetwork:
         mark = self.checkpoint()
         self._apply_path(full)
         mirrored = self.mirror_path(full)
-        if self._path_feasible(mirrored):
+        if all(self._feasible(a, b) for a, b in self._path_arcs(mirrored)):
             self._apply_path(mirrored)
             self.assert_mirror()
             return True
@@ -406,7 +415,7 @@ class FlowNetwork:
     def _start_targets(self, a: int):
         allow_self = self.sx[a] == 0
         return {
-            self._node_y(b)
+            self.m + b
             for b in range(self.m)
             if self.yt[b] < 2 and (b != a or allow_self)
         }
@@ -430,7 +439,7 @@ class FlowNetwork:
             banned: frozenset = frozenset()
             found_any = False
             for _ in range(3):
-                path = self._bfs(self._node_x(a), targets, banned)
+                path = self._bfs(a, targets, banned)
                 if path is None:
                     break
                 found_any = True
@@ -451,9 +460,7 @@ class FlowNetwork:
             if found_any:
                 reachable_starts.append(a)
         for a in reachable_starts:
-            path = self._conflict_free_path(
-                self._node_x(a), self._start_targets(a), terminals=False
-            )
+            path = self._conflict_free_path(a, self._start_targets(a), terminals=False)
             if path is not None and self._try_mirror_pair([2 * m, *path, 2 * m + 1]):
                 return True
         return False
@@ -599,19 +606,29 @@ class QuasiHamiltonian:
     """Memoized evaluation of the recursive edge sets QH_k(G, R).
 
     QH_1(G, R) holds the edges that extend R inside some cycle factor; for
-    k > 1, QH_k(G, R) holds the edges e for which QH_{k-1}(G, e u R) is
-    connected.  "Connected" for an edge set means spanning and connected:
-    the set touches every vertex and forms one component.  Results are
-    memoized by (k, R); since every level sits inside QH_1 of the same R,
-    a disconnected QH_1 empties all deeper levels immediately.
+    k > 1, QH_k(G, R) holds the edges e of QH_1(G, R) for which
+    QH_{k-1}(G, e u R) is connected.  "Connected" for an edge set means
+    spanning and connected: the set touches every vertex and forms one
+    component.
+
+    There are two memos, both keyed by (k, R): ``_memo`` holds full edge
+    sets (``qh_set``, which reports need) and ``_conn_memo`` holds the
+    predicate "QH_k(G, R) is connected" (``qh_conn``, which is all the
+    recursion and the Hamiltonicity decision ask).  ``qh_conn`` walks the
+    edges of QH_1(G, R) in sorted order and decides each one at level k-1;
+    since the property is monotone in the edge set, it accepts as soon as
+    the accepted edges are connected and rejects as soon as the accepted
+    plus the undecided edges are not.  Every level sits inside QH_1 of the
+    same R, so a disconnected QH_1 answers every deeper level at once.
     """
 
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
         self._qh1_cache: dict = {}
         self._memo: dict = {}
+        self._conn_memo: dict = {}
 
-    def _spanning_connected(self, edges: frozenset) -> bool:
+    def _spanning_connected(self, edges) -> bool:
         if not edges:
             return False
         touched = {v for e in edges for v in e}
@@ -636,6 +653,27 @@ class QuasiHamiltonian:
         self._qh1_cache[R] = result
         return result
 
+    def qh_conn(self, R: frozenset, k: int) -> bool:
+        """Whether QH_k(G, R) is spanning and connected; ``R`` normalized."""
+        key = (k, R)
+        if key in self._conn_memo:
+            return self._conn_memo[key]
+        edges = sorted(self.qh1(R))
+        result = self._spanning_connected(edges)
+        if result and k > 1:
+            result = False
+            accepted: list = []
+            for index, e in enumerate(edges):
+                if self.qh_conn(R | {e}, k - 1):
+                    accepted.append(e)
+                    if self._spanning_connected(accepted):
+                        result = True
+                        break
+                elif not self._spanning_connected(accepted + edges[index + 1:]):
+                    break
+        self._conn_memo[key] = result
+        return result
+
     def qh_set(self, R: Iterable[tuple], k: int) -> frozenset:
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -650,16 +688,14 @@ class QuasiHamiltonian:
             # deeper sets live inside base, so none can be spanning-connected
             result = frozenset()
         else:
-            result = frozenset(
-                e
-                for e in base
-                if self._spanning_connected(self.qh_set(R | {e}, k - 1))
-            )
+            result = frozenset(e for e in base if self.qh_conn(R | {e}, k - 1))
         self._memo[key] = result
         return result
 
     def is_k_quasi_hamiltonian(self, k: int) -> bool:
-        return self._spanning_connected(self.qh_set(frozenset(), k))
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return self.qh_conn(frozenset(), k)
 
 
 def qh_set(graph: SimpleGraph, R: Iterable[tuple], k: int) -> frozenset:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cayleykit import quasiham
 from cayleykit.cli import main
 from cayleykit.graphs import export_edge_list, petersen_graph, cycle_graph
 
@@ -206,6 +207,31 @@ class TestGraphCommands:
         assert code == 0
         assert stdout.splitlines()[0] == "k,edges,connected"
         assert "1,5,yes" in stdout
+
+    def test_qh_oracle_guard_fails_before_the_hierarchy(self, capsys, tmp_path, monkeypatch):
+        def hierarchy(graph):
+            raise AssertionError("the hierarchy ran before the oracle guard")
+
+        monkeypatch.setattr(quasiham, "hamiltonian_via_qh", hierarchy)
+        graph_file = tmp_path / "c13.el"
+        graph_file.write_text(export_edge_list(cycle_graph(13)))
+        code, stdout, stderr = run_cli(
+            ["qh", "--graph", str(graph_file), "--check-hamiltonian"], capsys
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "oracle guarded to 12 vertices" in stderr
+
+    def test_qh_negative_level_is_a_usage_error(self, capsys, tmp_path):
+        graph_file = tmp_path / "c5.el"
+        graph_file.write_text(export_edge_list(cycle_graph(5)))
+        code, stdout, stderr = run_cli(["qh", "--graph", str(graph_file), "--k", "-2"], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert "--k" in stderr
+        code, stdout, _ = run_cli(["qh", "--graph", str(graph_file), "--k", "0"], capsys)
+        assert code == 0
+        assert stdout == "k,edges,connected\n1,5,yes\n2,5,yes\n3,5,yes\n"
 
 
 class TestPrime:

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from cayleykit import quasiham
+from cayleykit.errors import BudgetExceeded
 from cayleykit.groups import enumerate_elements
 from cayleykit.graphs import (
     SimpleGraph,
@@ -15,6 +17,7 @@ from cayleykit.perms import Permutation
 from cayleykit.quasiham import (
     CycleFactor,
     FlowNetwork,
+    QuasiHamiltonian,
     brute_cycle_factor,
     brute_hamiltonian,
     coset_partition,
@@ -148,6 +151,103 @@ class TestHamiltonicity:
         assert rows == [(1, 5, True), (2, 5, True), (3, 5, True)]
 
 
+def _full_set_reference(analyzer, R, k, memo):
+    """QH_k(G, R) as the full edge set at every level (the definition)."""
+    key = (k, R)
+    if key not in memo:
+        base = analyzer.qh1(R)
+        if k == 1:
+            result = base
+        elif not analyzer._spanning_connected(base):
+            result = frozenset()
+        else:
+            result = frozenset(
+                e
+                for e in base
+                if analyzer._spanning_connected(_full_set_reference(analyzer, R | {e}, k - 1, memo))
+            )
+        memo[key] = result
+    return memo[key]
+
+
+def _assert_predicate_matches_full_sets(g, k_max):
+    reference = QuasiHamiltonian(g)
+    memo: dict = {}
+    analyzer = QuasiHamiltonian(g)
+    forced_sets = [frozenset()] + [frozenset({e}) for e in g.edges]
+    for k in range(1, k_max + 1):
+        for R in forced_sets:
+            full = _full_set_reference(reference, R, k, memo)
+            assert analyzer.qh_conn(R, k) == reference._spanning_connected(full), (k, R)
+            assert analyzer.qh_set(R, k) == full, (k, R)
+
+
+class TestConnectivityPredicate:
+    def test_predicate_matches_the_full_sets(self):
+        rng = random.Random(606)
+        for _ in range(40):
+            g = random_connected_graph(rng, 3, 6)
+            _assert_predicate_matches_full_sets(g, max(1, g.vertex_count - 2))
+
+    def test_predicate_rejects_where_level_one_is_connected(self):
+        # QH_1 of the Petersen graph is connected for every R of size <= 1, but
+        # QH_3(G, {e}) and QH_4(G, {}) are not: the predicate's reject rule
+        # runs here, which it never does on the small random graphs above.
+        _assert_predicate_matches_full_sets(petersen_graph(), 4)
+
+    def test_report_rows_keep_the_full_sets(self):
+        g = petersen_graph()
+        reference = QuasiHamiltonian(g)
+        memo: dict = {}
+        expected = []
+        for k in (1, 2):
+            full = _full_set_reference(reference, frozenset(), k, memo)
+            expected.append((k, len(full), reference._spanning_connected(full)))
+        assert qh_report(g, 2) == expected
+
+    def test_invalid_level(self):
+        with pytest.raises(ValueError):
+            QuasiHamiltonian(cycle_graph(4)).is_k_quasi_hamiltonian(0)
+
+
+# Forcing an edge of this graph after the maximum flow (inside qh1) reaches the
+# exhaustive conflict-free fallback.
+FALLBACK_GRAPH = SimpleGraph(8, [
+    (0, 2), (0, 4), (1, 3), (1, 4), (1, 6), (2, 5),
+    (2, 7), (3, 7), (4, 6), (5, 6), (5, 7), (6, 7),
+])
+
+
+class TestConflictFreeBudget:
+    def _fallback_calls(self, monkeypatch):
+        calls = []
+        search = FlowNetwork._conflict_free_path
+
+        def recorded(self, source, targets, terminals, banned_arcs=frozenset()):
+            calls.append(terminals)
+            return search(self, source, targets, terminals, banned_arcs)
+
+        monkeypatch.setattr(FlowNetwork, "_conflict_free_path", recorded)
+        return calls
+
+    def test_forcing_reaches_the_fallback_within_budget(self, monkeypatch):
+        calls = self._fallback_calls(monkeypatch)
+        net = FlowNetwork(FALLBACK_GRAPH)
+        assert net.run_to_max() == 16
+        assert not calls
+        for i, j in FALLBACK_GRAPH.edges:
+            net.edge_usable(i, j)
+        assert True in calls  # a forcing repair went to the exhaustive search
+
+    def test_tiny_budget_raises(self, monkeypatch):
+        net = FlowNetwork(FALLBACK_GRAPH)
+        net.run_to_max()
+        monkeypatch.setattr(quasiham, "_CONFLICT_FREE_NODE_BUDGET", 1)
+        with pytest.raises(BudgetExceeded):
+            for i, j in FALLBACK_GRAPH.edges:
+                net.edge_usable(i, j)
+
+
 class TestCosetPartition:
     def setup_method(self):
         self.s3 = enumerate_elements(
@@ -191,4 +291,12 @@ def test_full_equivalence_over_random_connected_corpus():
     rng = random.Random(2024)
     for _ in range(30):
         g = random_connected_graph(rng, 3, 7)
+        assert hamiltonian_via_qh(g) == brute_hamiltonian(g)
+
+
+@pytest.mark.slow
+def test_equivalence_on_eight_vertex_corpus():
+    rng = random.Random(808)
+    for _ in range(30):
+        g = random_connected_graph(rng, 8, 8)
         assert hamiltonian_via_qh(g) == brute_hamiltonian(g)
