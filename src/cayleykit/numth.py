@@ -90,7 +90,9 @@ def cyclotomic_eval(m: int, x: int) -> int:
     return value
 
 
-_FACTOR_EFFORT = 10**7
+# Trial-division budget in steps times the bit length of Phi_m(m): each step
+# is one big-integer modulo, whose cost grows with that length.
+_SCAN_WORK = 5 * 10**8
 
 
 def prime_one_mod(m: int) -> int:
@@ -98,11 +100,12 @@ def prime_one_mod(m: int) -> int:
 
     Phi_m(m) = 1 (mod m), so no prime factor divides m and every prime factor
     lies in the 1 (mod m) class; trial division restricted to that class is
-    complete.  RangeError if the scan would exceed the supported effort.
+    complete.  RangeError once the scan's work passes _SCAN_WORK.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     value = cyclotomic_eval(m, m)
+    max_steps = _SCAN_WORK // value.bit_length()
     q = m + 1
     steps = 0
     while q * q <= value:
@@ -110,7 +113,7 @@ def prime_one_mod(m: int) -> int:
             return q
         q += m
         steps += 1
-        if steps > _FACTOR_EFFORT:
+        if steps > max_steps:
             raise RangeError(f"factor scan for Phi_{m}({m}) exceeds effort bound")
     if not is_prime(value):
         raise ArithmeticError(f"Phi_{m}({m}) = {value} resisted classification")

@@ -611,10 +611,11 @@ class QuasiHamiltonian:
     spanning and connected: the set touches every vertex and forms one
     component.
 
-    There are two memos, both keyed by (k, R): ``_memo`` holds full edge
-    sets (``qh_set``, which reports need) and ``_conn_memo`` holds the
-    predicate "QH_k(G, R) is connected" (``qh_conn``, which is all the
-    recursion and the Hamiltonicity decision ask).  ``qh_conn`` walks the
+    Two memos: ``_qh1_cache`` holds QH_1(G, R) by R, and ``_conn_memo``
+    holds the predicate "QH_k(G, R) is connected" by (k, R) (``qh_conn``,
+    which is all the recursion and the Hamiltonicity decision ask).  Full
+    edge sets (``qh_set``, which reports need) are built from the two and not
+    stored: a report asks each (k, {}) once.  ``qh_conn`` walks the
     edges of QH_1(G, R) in sorted order and decides each one at level k-1;
     since the property is monotone in the edge set, it accepts as soon as
     the accepted edges are connected and rejects as soon as the accepted
@@ -625,7 +626,6 @@ class QuasiHamiltonian:
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
         self._qh1_cache: dict = {}
-        self._memo: dict = {}
         self._conn_memo: dict = {}
 
     def _spanning_connected(self, edges) -> bool:
@@ -678,19 +678,13 @@ class QuasiHamiltonian:
         if k < 1:
             raise ValueError("k must be >= 1")
         R = _normalize_edges(R)
-        key = (k, R)
-        if key in self._memo:
-            return self._memo[key]
         base = self.qh1(R)
         if k == 1:
-            result = base
-        elif not self._spanning_connected(base):
+            return base
+        if not self._spanning_connected(base):
             # deeper sets live inside base, so none can be spanning-connected
-            result = frozenset()
-        else:
-            result = frozenset(e for e in base if self.qh_conn(R | {e}, k - 1))
-        self._memo[key] = result
-        return result
+            return frozenset()
+        return frozenset(e for e in base if self.qh_conn(R | {e}, k - 1))
 
     def is_k_quasi_hamiltonian(self, k: int) -> bool:
         if k < 1:

@@ -1,25 +1,31 @@
 """Adjacency and Laplacian spectra of desk-scale graphs.
 
-Two in-repo solvers: a cyclic Jacobi rotation method for dense symmetric
-matrices (graphs up to 1000 vertices) and power iteration with deflation for
-larger adjacency/Laplacian matrices.  Iteration order is fixed and start
-vectors come from a seeded generator, so results are reproducible; every
-reported eigenvalue carries a residual certificate ||Mv - lambda v|| <=
-tol * ||v||.  numpy supplies array storage and arithmetic only.
+One solver serves every graph and size: Chebyshev-filtered block subspace
+iteration (Zhou and Saad, J. Comput. Phys. 2007) over neighbor arrays, with
+Rayleigh-Ritz on the small block matrix by the in-repo cyclic Jacobi
+method.  The block holds k columns plus a fixed guard, so a repeated
+eigenvalue costs no extra passes.  Iteration order is fixed and the start
+block comes from a seeded generator, so results are reproducible; every
+reported eigenvalue is the Rayleigh quotient of a unit vector v and carries
+the residual certificate ||Mv - lambda v|| <= tol.  numpy supplies array
+storage and arithmetic only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-_DENSE_LIMIT = 1000
-_MAX_ITERATIONS = 100_000
+_BLOCK_GUARD = 4         # block columns beyond k
+_FILTER_DEGREE = 24      # Chebyshev degree per iteration, before the gain cap
+_MAX_GAIN = 1e8          # largest filter gain of the top over the k-th Ritz value
+_CUT_GAP = 0.02          # share of the way to lo that the cut drops below a cluster
+_RITZ_TOL = 1e-12        # Jacobi tolerance on the small Rayleigh-Ritz matrix
+_MAX_ITERATIONS = 500
 
 
 def adjacency_matrix(graph) -> np.ndarray:
@@ -40,7 +46,7 @@ class SpectrumReport:
     """Top eigenvalues with multiplicities and residual certificates."""
 
     kind: str                 # "adjacency" | "laplacian"
-    method: str               # "dense" | "iterative"
+    method: str               # "iterative" (one solver; the field stays for readers)
     tolerance: float
     entries: tuple            # (eigenvalue, multiplicity, max residual) descending
 
@@ -109,73 +115,83 @@ def jacobi_eigensystem(M: np.ndarray, tol: float = 1e-10) -> tuple:
 
 
 class _SparseOperator:
-    """Deterministic matvec over neighbor arrays."""
+    """The adjacency or Laplacian matrix times an n x b block, over neighbor
+    arrays: one gather per neighbor slot that every vertex fills, then one
+    segmented sum over the remaining neighbors of higher-degree vertices."""
 
     def __init__(self, graph, kind: str):
-        n = graph.vertex_count
         adj = graph.adjacency
-        self.n = n
+        self.n = graph.vertex_count
         self.kind = kind
-        self.degrees = np.array([len(adj[v]) for v in range(n)], dtype=float)
-        flat = []
-        offsets = [0]
-        for v in range(n):
-            flat.extend(adj[v])
-            offsets.append(len(flat))
-        self.flat = np.array(flat, dtype=np.intp)
-        self.starts = np.array(offsets[:-1], dtype=np.intp)
-        self.empty = np.array([len(adj[v]) == 0 for v in range(n)])
+        self.degrees = np.array([len(nbrs) for nbrs in adj], dtype=float)
+        shared = min((len(nbrs) for nbrs in adj), default=0)
+        self.slots = np.array([nbrs[:shared] for nbrs in adj], dtype=np.intp).T
+        # reduceat sums from each start to the next, so only the vertices
+        # with neighbors left over get a start; every start indexes rest
+        self.rows = np.flatnonzero(self.degrees > shared)
+        self.rest = np.array([w for v in self.rows for w in adj[v][shared:]], dtype=np.intp)
+        counts = self.degrees[self.rows].astype(np.intp) - shared
+        self.starts = np.cumsum(counts) - counts
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        if len(self.flat) == 0:
-            gathered = np.zeros(self.n)
-        else:
-            sums = np.add.reduceat(v[self.flat], self.starts)
-            gathered = np.where(self.empty, 0.0, sums)
+    def apply(self, X: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """(M - shift I) X."""
+        out = np.zeros_like(X)
+        for slot in self.slots:
+            out += np.take(X, slot, axis=0)
+        if len(self.rows):
+            out[self.rows] += np.add.reduceat(np.take(X, self.rest, axis=0), self.starts, axis=0)
         if self.kind == "laplacian":
-            return self.degrees * v - gathered
-        return gathered
+            out *= -1.0
+            out += (self.degrees - shift)[:, None] * X
+        elif shift:
+            out -= shift * X
+        return out
 
 
-def _power_iterate(op: _SparseOperator, shift: float, deflate: list,
-                   tol: float, rng: np.random.Generator) -> tuple:
-    """Dominant eigenpair of (M + shift I) restricted to the complement of
-    the deflated eigenpairs; returns (eigenvalue of M, vector, residual)."""
-    n = op.n
-    v = rng.standard_normal(n)
-    for value, vector in deflate:
-        v -= (vector @ v) * vector
-    norm = float(np.sqrt(v @ v))
-    if norm == 0.0:
-        raise ConvergenceError("start vector vanished under deflation", math.inf)
-    v /= norm
-    lam = 0.0
-    residual = math.inf
-    for _ in range(_MAX_ITERATIONS):
-        w = op.matvec(v) + shift * v
-        for value, vector in deflate:
-            w -= (value + shift) * (vector @ v) * vector
-        # keep the iterate exactly inside the complement subspace
-        for _, vector in deflate:
-            w -= (vector @ w) * vector
-        norm = float(np.sqrt(w @ w))
-        if norm == 0.0:
-            raise ConvergenceError("iterate collapsed into the deflated space", math.inf)
-        w /= norm
-        mv = op.matvec(w)
-        lam = float(w @ mv)
-        r = mv - lam * w
-        for _, vector in deflate:
-            r -= (vector @ r) * vector
-        residual = float(np.sqrt(r @ r))
-        v = w
-        if residual <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"power iteration stalled at residual {residual:.3g}", residual
-        )
-    return lam, v, residual
+def _rayleigh_ritz(op: _SparseOperator, X: np.ndarray) -> tuple:
+    """Ritz pairs of the orthonormal block X, descending: (values, vectors,
+    residual norms).  Each value is the Rayleigh quotient of its normalized
+    vector, not the Jacobi diagonal, so it carries the vector's accuracy."""
+    MX = op.apply(X)
+    _, S = jacobi_eigensystem(X.T @ MX, tol=_RITZ_TOL)
+    X, MX = X @ S, MX @ S
+    norms = np.sqrt((X * X).sum(axis=0))
+    X, MX = X / norms, MX / norms
+    values = (X * MX).sum(axis=0)
+    R = MX - X * values
+    return values, X, np.sqrt((R * R).sum(axis=0))
+
+
+def _chebyshev_filter(op: _SparseOperator, X: np.ndarray, values, residuals,
+                      k: int, lo: float, hi: float) -> np.ndarray:
+    """p(M) X for a Chebyshev polynomial p bounded by 1 on [lo, cut] and
+    scaled so that p(hi) = 1 (Zhou and Saad 2007, wanted end on the right).
+
+    The cut is the last Ritz value unless the k-th and last Ritz values agree
+    within their residuals: the block then sits inside a cluster, and the cut
+    drops a share _CUT_GAP of the way to lo so that the cluster rises over
+    the eigenvalues just below it.  The degree is capped so that the top
+    gains at most _MAX_GAIN over the k-th Ritz value and cannot drown the
+    other columns.
+    """
+    wanted, last = values[k - 1], values[-1]
+    inside_cluster = wanted - last <= residuals[k - 1] + residuals[-1]
+    cut = wanted - _CUT_GAP * (wanted - lo) if inside_cluster else last
+    cut = max(cut, lo + 1e-12 * (hi - lo))  # keeps [lo, cut] non-empty
+    half, centre = (cut - lo) / 2.0, (cut + lo) / 2.0
+    t_top = (hi - centre) / half
+    spread = math.acosh(t_top) - math.acosh(max((wanted - centre) / half, 1.0))
+    degree = max(1, min(_FILTER_DEGREE, int(math.log(_MAX_GAIN) / max(spread, 1e-9))))
+    sigma = 1.0 / t_top
+    prev, Y = X, op.apply(X, centre)
+    Y *= sigma / half
+    for _ in range(1, degree):
+        s = 1.0 / (2.0 * t_top - sigma)
+        W = op.apply(Y, centre)
+        W *= 2.0 * s / half
+        W -= (sigma * s) * prev
+        prev, Y, sigma = Y, W, s
+    return Y
 
 
 def _group_entries(values, residuals, tol: float) -> tuple:
@@ -192,56 +208,38 @@ def _group_entries(values, residuals, tol: float) -> tuple:
 
 def spectrum_topk(graph, kind: str = "adjacency", k: int = 1,
                   tol: float = 1e-8, seed: int = 0) -> SpectrumReport:
-    """Top-k eigenvalues, dense below 1000 vertices and iterative above.
+    """Top-k eigenvalues (all n when k > n) by Chebyshev-filtered block
+    subspace iteration from a seeded start.
 
-    The iterative path handles the Laplacian of any graph and the adjacency
-    of connected regular graphs (where the all-ones vector is the known top
-    eigenvector to deflate); eigenvalues come with residual certificates and
-    a ConvergenceError is raised when the iteration budget runs out.
+    Each iteration does Rayleigh-Ritz on the block, keeps the leading Ritz
+    vectors whose residual is within tol, and filters the rest, damping the
+    spectrum from the Gershgorin lower bound up to a cut below the k-th Ritz
+    value.  A ConvergenceError is raised when the iteration budget runs out.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if kind not in ("adjacency", "laplacian"):
         raise ValueError(f"unknown matrix kind {kind!r}")
-    n = graph.vertex_count
-    if n <= _DENSE_LIMIT:
-        M = adjacency_matrix(graph) if kind == "adjacency" else laplacian_matrix(graph)
-        values, vectors = jacobi_eigensystem(M, tol=min(tol, 1e-10))
-        residuals = []
-        for idx in range(min(k, n)):
-            v = vectors[:, idx]
-            r = M @ v - values[idx] * v
-            residuals.append(float(np.sqrt(r @ r)))
-        entries = _group_entries(values[: min(k, n)], residuals, tol)
-        return SpectrumReport(kind, "dense", tol, entries)
-
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     op = _SparseOperator(graph, kind)
+    k = min(k, op.n)
+    top = float(op.degrees.max(initial=0.0))
+    lo, hi = (0.0, 2.0 * top) if kind == "laplacian" else (-top, top)  # Gershgorin
     rng = np.random.default_rng(seed)
-    degrees = op.degrees
-    deflate: list = []
-    values = []
-    residuals = []
-    if kind == "adjacency":
-        if degrees.min() != degrees.max():
-            raise ValueError("iterative adjacency spectra need a regular graph")
-        if not graph.is_connected():
-            raise ValueError("iterative adjacency spectra need a connected graph")
-        d = float(degrees[0])
-        ones = np.ones(n) / math.sqrt(n)
-        r = op.matvec(ones) - d * ones
-        values.append(d)
-        residuals.append(float(np.sqrt(r @ r)))
-        deflate.append((d, ones))
-        shift = d
-    else:
-        shift = 0.0
-    while len(values) < k:
-        lam, vec, residual = _power_iterate(op, shift, deflate, tol, rng)
-        values.append(lam)
-        residuals.append(residual)
-        deflate.append((lam, vec))
-    entries = _group_entries(values[:k], residuals, tol)
-    return SpectrumReport(kind, "iterative", tol, entries)
+    X = np.linalg.qr(rng.standard_normal((op.n, min(op.n, k + _BLOCK_GUARD))))[0]
+    for _ in range(_MAX_ITERATIONS):
+        values, X, residuals = _rayleigh_ritz(op, X)
+        done = 0
+        while done < k and residuals[done] <= tol:
+            done += 1
+        if done == k:
+            return SpectrumReport(kind, "iterative", tol,
+                                  _group_entries(values[:k], residuals[:k], tol))
+        filtered = _chebyshev_filter(op, X[:, done:], values, residuals, k, lo, hi)
+        X = np.linalg.qr(np.hstack([X[:, :done], filtered]))[0]
+    worst = float(max(residuals[:k]))
+    raise ConvergenceError(f"block iteration stalled at residual {worst:.3g}", worst)
 
 
 def check_regular_spectrum(graph, tol: float = 1e-8, seed: int = 0) -> dict:

@@ -191,6 +191,41 @@ class TestGraphCommands:
         code, _, stderr = run_cli(["spectrum", "--graph", "/no/such.el"], capsys)
         assert code == 1
 
+    def test_spectrum_star_with_an_isolated_last_vertex(self, capsys, tmp_path):
+        # vertex 1001 has no neighbors, so no neighbor sum may start there
+        graph_file = tmp_path / "star.el"
+        graph_file.write_text("vertices=1002\n" + "".join(f"0 {i}\n" for i in range(1, 1001)))
+        code, stdout, _ = run_cli(
+            ["spectrum", "--graph", str(graph_file), "--kind", "laplacian"], capsys
+        )
+        assert code == 0
+        assert "\nlaplacian,1,1001,1," in stdout
+        assert "\nlaplacian,2,1,1," in stdout
+
+    def test_spectrum_rejects_a_bad_tolerance_before_solving(self, capsys, tmp_path, monkeypatch):
+        # S_4 and S_7 path Cayley graphs; the solver is patched to raise, so
+        # exit 1 shows the tolerance was refused before any iteration
+        from cayleykit import spectral
+
+        graphs = []
+        for n in (4, 7):
+            gens = tmp_path / f"path{n}.gens"
+            gens.write_text(f"n={n} type=2\n" + "".join(f"({i} {i + 1})\n" for i in range(1, n)))
+            graphs.append(tmp_path / f"path{n}.el")
+            assert run_cli(["cayley", "--set", str(gens), "--out", str(graphs[-1])], capsys)[0] == 0
+
+        def no_solver(*args):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(spectral, "_SparseOperator", no_solver)
+        for graph_file in graphs:
+            for tol in ("0", "-1e-8", "nan", "inf"):
+                code, stdout, stderr = run_cli(
+                    ["spectrum", "--graph", str(graph_file), f"--tol={tol}"], capsys
+                )
+                assert code == 1
+                assert "tol must be positive and finite" in stderr
+
     def test_qh_hamiltonian_check(self, capsys, tmp_path):
         graph_file = tmp_path / "pet.el"
         graph_file.write_text(export_edge_list(petersen_graph()))

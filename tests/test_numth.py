@@ -77,6 +77,24 @@ class TestPrimeOneMod:
             assert p % m == 1
             assert cyclotomic_eval(m, m) % p == 0
 
+    def test_scan_work_counts_the_bit_length(self, monkeypatch):
+        # Phi_40(40) has 86 bits; its least prime factor, 202481 = 41 + 40 * 5061,
+        # comes after 5061 scan steps
+        from cayleykit import numth
+
+        monkeypatch.setattr(numth, "_SCAN_WORK", 5061 * 86)
+        assert prime_one_mod(40) == 202481
+        monkeypatch.setattr(numth, "_SCAN_WORK", 5061 * 86 - 1)
+        with pytest.raises(RangeError):
+            prime_one_mod(40)
+
+    def test_out_of_budget(self):
+        # Phi_20000(20000) has 114,000 bits, so the budget stops its scan
+        # after a few thousand steps, not ten million
+        for m in (19, 31, 20000):
+            with pytest.raises(RangeError):
+                prime_one_mod(m)
+
     def test_smallest_prime_in_class(self):
         assert smallest_prime_one_mod(2) == 3
         assert smallest_prime_one_mod(6) == 7

@@ -25,7 +25,38 @@ def closed_form_c6():
     return sorted((2 * math.cos(2 * math.pi * j / 6) for j in range(6)), reverse=True)
 
 
+def transposition_cayley(n, pairs):
+    texts = [f"({a} {b})" for a, b in pairs]
+    T = GeneratorSet(n, [Permutation.from_text(t, n) for t in texts], CycleType([2]))
+    return build_cayley(T, cap=6000)
+
+
+def path_cayley(n):
+    return transposition_cayley(n, [(i, i + 1) for i in range(1, n)])
+
+
+def star_cayley(n):
+    return transposition_cayley(n, [(1, i) for i in range(2, n + 1)])
+
+
+def eigvalsh_top(g, kind, k):
+    matrix = adjacency_matrix(g) if kind == "adjacency" else laplacian_matrix(g)
+    return np.sort(np.linalg.eigvalsh(matrix))[::-1][:k]
+
+
+def assert_matches_eigvalsh(g, kind, k, tol=1e-8):
+    report = spectrum_topk(g, kind, k=k, tol=tol)
+    expected = eigvalsh_top(g, kind, k)
+    assert len(report.eigenvalues) == len(expected)
+    assert np.abs(np.array(report.eigenvalues) - expected).max() < 1e-8
+    assert all(residual <= tol for _, _, residual in report.entries)
+    return report
+
+
 class TestDenseSolver:
+    """Small graphs, where the block spans the whole space, and the Jacobi
+    kernel that does the block's Rayleigh-Ritz step."""
+
     def test_c6_adjacency_full_spectrum(self):
         report = spectrum_topk(cycle_graph(6), "adjacency", k=6)
         expected = closed_form_c6()
@@ -75,37 +106,79 @@ class TestIterativeSolver:
         assert report.entries[0][0] == pytest.approx(4.0, abs=1e-8)
 
     def test_second_eigenvalue_certified(self):
+        # the k=4 cycle pair: lambda_2 = 1 + sqrt(7), and 5 + sqrt(7) for
+        # the Laplacian of this bipartite 4-regular graph
         g = self.big_graph()
         report = spectrum_topk(g, "adjacency", k=2, tol=1e-8)
-        lam2 = report.eigenvalues[1]
-        assert lam2 < 4.0
+        assert report.eigenvalues[1] == pytest.approx(1 + math.sqrt(7), abs=1e-8)
         assert report.entries[-1][2] <= 1e-8  # residual certificate
+        laplacian = spectrum_topk(g, "laplacian", k=2, tol=1e-8)
+        assert laplacian.eigenvalues == pytest.approx([8.0, 5 + math.sqrt(7)], abs=1e-8)
 
-    def test_methods_agree_where_both_run(self):
-        # dense and iterative paths on the same 120-vertex graph
-        texts = ["(1 2)", "(2 3)", "(3 4)", "(4 5)"]
-        T = GeneratorSet(5, [Permutation.from_text(t, 5) for t in texts], CycleType([2]))
-        g = build_cayley(T).to_simple_graph()
-        dense = spectrum_topk(g, "adjacency", k=2)
-        from cayleykit import spectral
+    def test_matches_eigvalsh_on_path_cayley_graphs(self):
+        # 120 and 720 vertices; lambda_2 has multiplicity n - 1
+        for n in (5, 6):
+            g = path_cayley(n)
+            for kind in ("adjacency", "laplacian"):
+                for k in (2, 8):
+                    assert_matches_eigvalsh(g, kind, k)
 
-        op = spectral._SparseOperator(g, "adjacency")
-        rng = np.random.default_rng(0)
-        ones = np.ones(g.vertex_count) / math.sqrt(g.vertex_count)
-        lam2, _, residual = spectral._power_iterate(op, 4.0, [(4.0, ones)], 1e-10, rng)
-        assert lam2 == pytest.approx(dense.eigenvalues[1], abs=1e-8)
-        assert residual <= 1e-10
-
-    def test_iterative_adjacency_requires_regular(self):
+    def test_irregular_graph_matches_eigvalsh(self):
+        # a 1001-vertex path with a chord: irregular, and its eigenvalues
+        # below the top lie about 3e-5 apart
         g = SimpleGraph(1001, [(i, i + 1) for i in range(1000)] + [(0, 2)])
-        with pytest.raises(ValueError):
-            spectrum_topk(g, "adjacency", k=1)
+        for kind in ("adjacency", "laplacian"):
+            assert_matches_eigvalsh(g, kind, 2)
+
+    def test_k_above_n_returns_every_eigenvalue(self):
+        for g in (petersen_graph(), cycle_graph(13)):
+            for kind in ("adjacency", "laplacian"):
+                report = assert_matches_eigvalsh(g, kind, g.vertex_count + 5)
+                assert len(report.eigenvalues) == g.vertex_count
 
     def test_iterative_laplacian_on_big_star(self):
         g = SimpleGraph(1001, [(0, i) for i in range(1, 1001)])
         report = spectrum_topk(g, "laplacian", k=1, tol=1e-8)
         assert report.method == "iterative"
         assert report.entries[0][0] == pytest.approx(1001.0, abs=1e-6)
+
+    def test_star_with_an_isolated_last_vertex(self):
+        g = SimpleGraph(1002, [(0, i) for i in range(1, 1001)])
+        for kind in ("adjacency", "laplacian"):
+            assert_matches_eigvalsh(g, kind, 3)
+
+    def test_rejects_a_tolerance_that_is_not_positive_and_finite(self):
+        for tol in (0.0, -1e-8, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                spectrum_topk(cycle_graph(6), "adjacency", k=2, tol=tol)
+
+
+class TestClosedForms:
+    """Caputo, Liggett and Richthammer (JAMS 2010): the Laplacian gap of
+    Cay(S_n, T) for a transposition tree T is the algebraic connectivity
+    of T.  These graphs are bipartite and (n-1)-regular, so the Laplacian
+    top is 2(n-1) and the adjacency spectrum is symmetric."""
+
+    def test_s7_path_laplacian_gap(self):
+        report = spectrum_topk(path_cayley(7), "laplacian", k=2)
+        expected = [12.0, 12.0 - (2 - 2 * math.cos(math.pi / 7))]
+        assert report.eigenvalues == pytest.approx(expected, abs=1e-8)
+
+    def test_s7_star_cluster_wider_than_the_block(self, monkeypatch):
+        # lambda_2 = 5 has multiplicity 30, more than either block holds; a
+        # filter cut at the last Ritz value, inside the cluster, needs
+        # hundreds of iterations here instead of a handful
+        from cayleykit import spectral
+
+        monkeypatch.setattr(spectral, "_MAX_ITERATIONS", 30)
+        g = star_cayley(7)
+        for k in (2, 8):
+            report = spectrum_topk(g, "adjacency", k=k)
+            assert [(round(v, 8), m) for v, m, _ in report.entries] == [(6.0, 1), (5.0, k - 1)]
+            assert all(residual <= 1e-8 for _, _, residual in report.entries)
+            # the 12-digit column prints the Rayleigh quotients exactly
+            rows = report.to_csv().splitlines()[1:]
+            assert [row.split(",")[2] for row in rows] == ["6", "5"]
 
 
 class TestRegularHarness:
