@@ -2,15 +2,13 @@
 of their Cayley graphs: constructions, automorphism groups, cycle factors
 and quasi-hamiltonicity, and spectra."""
 
-from .perms import CycleType, Permutation, analyze, compose, in_extended_class, inverse
+from .perms import CycleType, Permutation, analyze, in_extended_class
 from .groups import (
     OrbitPartition,
     StabilizerChain,
     build_chain,
-    contains,
     enumerate_elements,
     generates,
-    group_order,
     orbits,
 )
 from .gensets import (
@@ -46,7 +44,6 @@ from .cayley import (
     commutator_cycle,
     commuting_4cycle,
     count_4cycles_through,
-    cyc_graph,
     is_normal,
     same_element_criterion,
     walk_in_graph,
@@ -71,7 +68,6 @@ from .quasiham import (
     hamiltonian_via_qh,
     is_k_quasi_hamiltonian,
     qh_report,
-    qh_set,
 )
 from .spectral import (
     SpectrumReport,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded
-from .cayley import CayleyGraph, build_cayley, count_4cycles_through, cyc_graph
+from .cayley import CayleyGraph, CycleGraph, build_cayley, count_4cycles_through
 from .gensets import GeneratorSet
 from .graphs import SimpleGraph
 from .perms import Permutation
@@ -129,7 +129,9 @@ class _AutSearch:
             # Only automorphisms found at this level fix the whole prefix,
             # so the stabilizer orbit of b must be computed from them alone
             # (deeper ones will fix b too and cannot enlarge it).
-            level_gens: list = []
+            # Each one is kept with its inverse, so the orbit walk moves both
+            # ways by lookup.
+            level_maps: list = []
             orbit = {b}
             for u in cell[1:]:
                 if u in orbit:
@@ -138,9 +140,12 @@ class _AutSearch:
                     self._individualize(colors, b), self._individualize(colors, u)
                 )
                 if found is not None:
-                    level_gens.append(found)
+                    inverse = [0] * self.n
+                    for v, image in enumerate(found):
+                        inverse[image] = v
+                    level_maps += (found, inverse)
                     gens.append(found)
-                    orbit = self._orbit(b, level_gens)
+                    orbit = self._orbit(b, level_maps)
             order *= len(orbit & set(cell))
             colors = self.refine(self._individualize(colors, b))
         return order, gens
@@ -152,10 +157,10 @@ class _AutSearch:
             nxt = []
             for p in frontier:
                 for m in mappings:
-                    for q in (m[p], m.index(p)):
-                        if q not in orbit:
-                            orbit.add(q)
-                            nxt.append(q)
+                    q = m[p]
+                    if q not in orbit:
+                        orbit.add(q)
+                        nxt.append(q)
             frontier = nxt
         return orbit
 
@@ -365,7 +370,7 @@ def verify_order_identity(T: GeneratorSet, n: int, budget: int = 2000,
     single_cycles = all(len(g.cycles()) == 1 for g in T.elements)
     if single_cycles:
         normal, reasons = _is_normal(T)
-        cyc_aut = graph_aut_order(cyc_graph(T).graph, budget)[0]
+        cyc_aut = graph_aut_order(CycleGraph(T).graph, budget)[0]
     else:
         normal, reasons = False, ["elements are not single cycles"]
         cyc_aut = None

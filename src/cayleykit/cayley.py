@@ -122,10 +122,6 @@ class CycleGraph:
         )
 
 
-def cyc_graph(generating_set: GeneratorSet, starts: Optional[dict] = None) -> CycleGraph:
-    return CycleGraph(generating_set, starts)
-
-
 def element_degrees(generating_set: GeneratorSet) -> list:
     """Per element: how many of its support points other elements also move."""
     sups = generating_set.supports()
@@ -152,7 +148,7 @@ def is_normal(generating_set: GeneratorSet, starts: Optional[dict] = None) -> tu
     if not is_split(generating_set):
         reasons.append("set is not split")
         return False, reasons
-    cg = cyc_graph(generating_set, starts)
+    cg = CycleGraph(generating_set, starts)
     if not cg.is_tree():
         reasons.append("cycle graph is not a tree")
     degrees = element_degrees(generating_set)

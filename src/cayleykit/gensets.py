@@ -121,15 +121,6 @@ def _all_cycles(T: GeneratorSet) -> list:
     return out
 
 
-def _overlap_matrix(cycles: list) -> list:
-    sets = [frozenset(c) for _, c in cycles]
-    n = len(cycles)
-    return [
-        [bool(sets[i] & sets[j]) and i != j for j in range(n)]
-        for i in range(n)
-    ]
-
-
 _BALANCE_CYCLE_LIMIT = 32
 
 

@@ -244,14 +244,6 @@ def build_chain(gens: Sequence[Permutation], n: int) -> StabilizerChain:
     return StabilizerChain(gens, n)
 
 
-def group_order(chain: StabilizerChain) -> int:
-    return chain.order()
-
-
-def contains(chain: StabilizerChain, sigma: Permutation) -> bool:
-    return chain.contains(sigma)
-
-
 @dataclass(frozen=True)
 class OrbitPartition:
     """Partition of {1..n} into orbits, each block sorted, blocks by minimum."""

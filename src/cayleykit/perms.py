@@ -195,15 +195,6 @@ class Permutation:
         return f"Permutation({self.degree}, {self.to_text()})"
 
 
-def compose(sigma: Permutation, tau: Permutation) -> Permutation:
-    """Left-to-right product: apply ``sigma`` first, then ``tau``."""
-    return sigma * tau
-
-
-def inverse(sigma: Permutation) -> Permutation:
-    return sigma.inverse()
-
-
 @dataclass(frozen=True)
 class CycleType:
     """A multiset of cycle lengths >= 2, stored sorted descending."""

@@ -6,10 +6,12 @@ The doubling network has nodes s, t, x_0..x_{m-1}, y_0..y_{m-1}; each graph
 adjacency (i, j) contributes unit arcs x_i->y_j and x_j->y_i, and s feeds
 every x (capacity 2) while every y drains into t (capacity 2).  A cycle
 factor containing the forced edge set R exists iff a flow of value 2m exists
-with all R arcs saturated.  Augmentations are applied in mirror pairs (swap
-the two sides and reverse the path), which keeps flow(x_i->y_j) equal to
-flow(x_j->y_i) at every step; this symmetry is what rules out doubled-edge
-components, and it is asserted after every augmentation.
+with all R arcs saturated.  The network is one residual table (arcs, their
+reverses and an unlimited t->s return); a forced arc has zero residual both
+ways.  Augmentations are applied in mirror pairs (swap the two sides and
+reverse the path), which keeps flow(x_i->y_j) equal to flow(x_j->y_i) at
+every step; this symmetry is what rules out doubled-edge components, and it
+is asserted after every augmentation.
 
 Flow computation is single-threaded per instance; instances are independent
 and the brute-force oracles deterministic.
@@ -18,6 +20,7 @@ and the brute-force oracles deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -33,7 +36,6 @@ __all__ = [
     "brute_cycle_factor",
     "brute_hamiltonian",
     "QuasiHamiltonian",
-    "qh_set",
     "is_k_quasi_hamiltonian",
     "hamiltonian_via_qh",
     "qh_report",
@@ -74,98 +76,79 @@ class CycleFactor:
 class FlowNetwork:
     """The bipartite doubling of a graph with mirror-paired augmentation.
 
-    Node encoding: x_i = i, y_j = m + j, s = 2m, t = 2m + 1.  ``flow`` maps
-    ordered pairs (i, j) over adjacencies to 0/1; ``sx``/``yt`` hold the
-    source and sink arc flows (capacity 2).  Locked arcs are forced and never
-    cancelled.  All mutations go through a journal so speculative forcing can
-    roll back.
+    Node encoding: x_i = i, y_j = m + j, s = 2m, t = 2m + 1.  All state is
+    one residual table: ``res[a][b]`` is the residual capacity of arc a->b.
+    A unit arc x_i->y_j carrying flow f has residual 1 - f and its reverse
+    f; s->x_i and y_j->t start at 2 with reverses at 0; the t->s return is
+    unlimited.  Each row lists its arcs in search order: x_i its y's in
+    adjacency order, then s; y_j its x's, then t; s every x; t every y,
+    then s.  A forced arc has zero residual in both directions, so no path
+    can cancel it.  ``mirror`` swaps the sides (x_i <-> y_i, s <-> t), and
+    the mirror of arc a->b is mirror[b]->mirror[a].  Every change journals
+    the arc pair's two old residuals so speculative forcing can roll back.
     """
 
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
-        self.m = graph.vertex_count
-        self.adj = graph.adjacency
-        self.flow: dict = {}
-        for u, v in graph.edges:
-            self.flow[(u, v)] = 0
-            self.flow[(v, u)] = 0
-        self.sx = [0] * self.m
-        self.yt = [0] * self.m
-        self.locked: set = set()
+        m = self.m = graph.vertex_count
+        s, t = self.s, self.t = 2 * m, 2 * m + 1
+        adj = graph.adjacency
+        self.res = (
+            [{m + j: 1 for j in adj[i]} | {s: 0} for i in range(m)]  # x rows
+            + [{i: 0 for i in adj[j]} | {t: 2} for j in range(m)]  # y rows
+            + [{i: 2 for i in range(m)}, {m + j: 0 for j in range(m)} | {s: math.inf}]
+        )
+        self.mirror = [*range(m, 2 * m), *range(m), t, s]
         self._journal: list = []
         self.mirror_checks = 0
 
     # -- journaled mutations ------------------------------------------------
 
-    def _set_flow(self, arc: tuple, value: int) -> None:
-        self._journal.append(("flow", arc, self.flow[arc]))
-        self.flow[arc] = value
+    def _apply_path(self, path: list) -> None:
+        """Push one unit along every arc of ``path``."""
+        res, journal = self.res, self._journal
+        for a, b in zip(path, path[1:]):
+            if a == self.t and b == self.s:
+                continue  # the unlimited return keeps no state
+            journal.append((a, b, res[a][b], res[b][a]))
+            res[a][b] -= 1
+            res[b][a] += 1
 
-    def _bump_sx(self, i: int, delta: int) -> None:
-        self._journal.append(("sx", i, self.sx[i]))
-        self.sx[i] += delta
-
-    def _bump_yt(self, j: int, delta: int) -> None:
-        self._journal.append(("yt", j, self.yt[j]))
-        self.yt[j] += delta
-
-    def _lock(self, arc: tuple) -> None:
-        if arc not in self.locked:
-            self._journal.append(("lock", arc, None))
-            self.locked.add(arc)
+    def _force(self, a: int, b: int) -> None:
+        """Saturate the unit arc a->b and lock it."""
+        res = self.res
+        self._journal.append((a, b, res[a][b], res[b][a]))
+        res[a][b] = res[b][a] = 0
 
     def checkpoint(self) -> int:
         return len(self._journal)
 
     def rollback(self, mark: int) -> None:
-        while len(self._journal) > mark:
-            kind, key, old = self._journal.pop()
-            if kind == "flow":
-                self.flow[key] = old
-            elif kind == "sx":
-                self.sx[key] = old
-            elif kind == "yt":
-                self.yt[key] = old
-            elif kind == "lock":
-                self.locked.discard(key)
+        res, journal = self.res, self._journal
+        while len(journal) > mark:
+            a, b, forward, backward = journal.pop()
+            res[a][b] = forward
+            res[b][a] = backward
 
     # -- residual structure ---------------------------------------------------
 
     def value(self) -> int:
-        return sum(self.sx)
+        return 2 * self.m - sum(self.res[self.s].values())
 
-    def _residual_from(self, node: int, terminals: bool):
-        """Deterministic residual out-arcs.
+    def _saturated(self, i: int, j: int) -> bool:
+        """Whether both arcs of edge {i, j} carry flow."""
+        return not self.res[i][self.m + j] and not self.res[j][self.m + i]
+
+    def _residual_from(self, node: int, terminals: bool) -> list:
+        """Residual out-neighbours of ``node``, in search order.
 
         With ``terminals`` the walk may route through s and t, including the
         t->s circulation return that lets a repair raise the total flow;
         plain augmentation searches stay internal (a path that re-enters the
         terminals would be value-neutral and could loop forever).
         """
-        m = self.m
-        if node == 2 * m:  # s
-            for i in range(m):
-                if self.sx[i] < 2:
-                    yield i
-        elif node == 2 * m + 1:  # t
-            for j in range(m):
-                if self.yt[j] > 0:
-                    yield m + j
-            yield 2 * m  # circulation return t -> s
-        elif node < m:  # x_i
-            i = node
-            for j in self.adj[i]:
-                if self.flow[(i, j)] == 0:
-                    yield m + j
-            if terminals and self.sx[i] > 0:
-                yield 2 * m  # cancel s->x_i
-        else:  # y_j
-            j = node - m
-            for i in self.adj[j]:
-                if self.flow[(i, j)] == 1 and (i, j) not in self.locked:
-                    yield i
-            if terminals and self.yt[j] < 2:
-                yield 2 * m + 1  # forward into t
+        limit = self.t + 1 if terminals else self.s
+        return [nb for nb, r in self.res[node].items() if r and nb < limit]
 
     def _bfs(self, source: int, targets, banned_arcs: frozenset = frozenset(),
              terminals: bool = False):
@@ -191,94 +174,22 @@ class FlowNetwork:
             frontier = nxt
         return None
 
-    def _path_arcs(self, path: list) -> list:
-        return list(zip(path, path[1:]))
-
-    def _feasible(self, a: int, b: int) -> bool:
-        m = self.m
-        if a == 2 * m:
-            return b < m and self.sx[b] < 2
-        if a == 2 * m + 1:
-            if b == 2 * m:
-                return True  # circulation return
-            return m <= b < 2 * m and self.yt[b - m] > 0
-        if a < m:
-            if b == 2 * m:
-                return self.sx[a] > 0
-            return m <= b < 2 * m and self.flow[(a, b - m)] == 0
-        j = a - m
-        if b == 2 * m + 1:
-            return self.yt[j] < 2
-        return b < m and self.flow[(b, j)] == 1 and (b, j) not in self.locked
-
-    def _apply_path(self, path: list) -> None:
-        m = self.m
-        for a, b in self._path_arcs(path):
-            if a == 2 * m + 1 and b == 2 * m:
-                continue  # circulation return carries no state
-            if a == 2 * m:
-                self._bump_sx(b, +1)
-            elif b == 2 * m:
-                self._bump_sx(a, -1)
-            elif b == 2 * m + 1:
-                self._bump_yt(a - m, +1)
-            elif a == 2 * m + 1:
-                self._bump_yt(b - m, -1)
-            elif a < m:
-                self._set_flow((a, b - m), 1)
-            else:
-                self._set_flow((b, a - m), 0)
-
-    def _mirror_node(self, node: int) -> int:
-        m = self.m
-        if node == 2 * m:
-            return 2 * m + 1
-        if node == 2 * m + 1:
-            return 2 * m
-        if node < m:
-            return m + node
-        return node - m
+    def _blocked_arc(self, path: list):
+        """The first arc of ``path`` without residual capacity, or None."""
+        res = self.res
+        return next(((a, b) for a, b in zip(path, path[1:]) if not res[a][b]), None)
 
     def mirror_path(self, path: list) -> list:
         """Swap the two sides and reverse the orientation."""
-        return [self._mirror_node(node) for node in reversed(path)]
+        mirror = self.mirror
+        return [mirror[node] for node in reversed(path)]
 
     # -- conflict-free search -------------------------------------------------
     #
-    # A path whose mirror must be applied alongside it may not consume an arc
-    # whose mirror it also consumes.  Arcs fall into mirror orbits: the two
-    # push arcs of an edge, the two cancel arcs of an edge, and the terminal
-    # pairs (s->x_v with y_v->t, and x_v->s with t->y_v); the t->s return is
-    # its own mirror with unlimited capacity.  Using both members of a
-    # terminal orbit is fine exactly when both carry two units of headroom.
-
-    def _arc_orbit(self, a: int, b: int):
-        m = self.m
-        if a == 2 * m + 1 and b == 2 * m:
-            return None  # circulation return, self-mirrored, unlimited
-        if a == 2 * m:
-            return ("s+", b)
-        if b == 2 * m + 1:
-            return ("s+", a - m)
-        if b == 2 * m:
-            return ("s-", a)
-        if a == 2 * m + 1:
-            return ("s-", b - m)
-        if a < m:
-            i, j = a, b - m
-            return ("push", min(i, j), max(i, j))
-        i, j = b, a - m
-        return ("cancel", min(i, j), max(i, j))
-
-    def _orbit_headroom(self, orbit) -> int:
-        """How many times a path may cross this mirror orbit in total."""
-        if orbit[0] == "s+":
-            v = orbit[1]
-            return min(2 - self.sx[v], 2 - self.yt[v], 2)
-        if orbit[0] == "s-":
-            v = orbit[1]
-            return min(self.sx[v], self.yt[v], 2)
-        return 1  # unit arcs: an edge's push (or cancel) pair supports one use
+    # A path whose mirror is applied alongside it loads an arc and its
+    # mirror arc equally: each crossing of either by the path is one use of
+    # both.  So the pair may be crossed min(res[arc], res[mirror arc]) times
+    # in total; the self-mirrored t->s return is unlimited.
 
     def _conflict_free_path(self, source: int, targets, terminals: bool,
                             banned_arcs: frozenset = frozenset()):
@@ -288,7 +199,8 @@ class FlowNetwork:
         Raises BudgetExceeded once the DFS has entered more than
         ``_CONFLICT_FREE_NODE_BUDGET`` nodes.
         """
-        used_orbits: dict = {}
+        res, mirror = self.res, self.mirror
+        crossed: dict = {}
         path = [source]
         on_path = {source}
         nodes = 0
@@ -303,11 +215,12 @@ class FlowNetwork:
             for nb in self._residual_from(node, terminals):
                 if nb in on_path or (node, nb) in banned_arcs:
                     continue
-                orbit = self._arc_orbit(node, nb)
-                if orbit is not None:
-                    if used_orbits.get(orbit, 0) + 1 > self._orbit_headroom(orbit):
-                        continue
-                    used_orbits[orbit] = used_orbits.get(orbit, 0) + 1
+                twin = (mirror[nb], mirror[node])
+                pair = min((node, nb), twin)
+                uses = crossed.get(pair, 0)
+                if uses >= min(res[node][nb], res[twin[0]][twin[1]]):
+                    continue
+                crossed[pair] = uses + 1
                 path.append(nb)
                 on_path.add(nb)
                 found = list(path) if nb in targets else descend(nb)
@@ -315,10 +228,7 @@ class FlowNetwork:
                     return found
                 path.pop()
                 on_path.discard(nb)
-                if orbit is not None:
-                    used_orbits[orbit] -= 1
-                    if not used_orbits[orbit]:
-                        del used_orbits[orbit]
+                crossed[pair] = uses
             return None
 
         if source in targets:
@@ -326,14 +236,17 @@ class FlowNetwork:
         return descend(source)
 
     def assert_mirror(self) -> None:
-        """The symmetric-augmentation invariant, checked after every step."""
+        """The symmetric-augmentation invariant, checked after every step.
+
+        The x rows hold every flow: x_i->y_j against x_j->y_i, and x_i->s
+        (the flow on s->x_i) against t->y_i (the flow on y_i->t).
+        """
         self.mirror_checks += 1
-        for (i, j), f in self.flow.items():
-            if f != self.flow[(j, i)]:
-                raise AssertionError(f"mirror invariant broken at arc ({i},{j})")
-        for i in range(self.m):
-            if self.sx[i] != self.yt[i]:
-                raise AssertionError(f"mirror invariant broken at terminal {i}")
+        res, mirror = self.res, self.mirror
+        for a in range(self.m):
+            for b, r in res[a].items():
+                if r != res[mirror[b]][mirror[a]]:
+                    raise AssertionError(f"mirror invariant broken at arc ({a},{b})")
 
     # -- forcing and augmentation ---------------------------------------------
 
@@ -348,29 +261,24 @@ class FlowNetwork:
         retried, so the invariant flow(x_a->y_b) == flow(x_b->y_a) survives
         every forcing step.
         """
-        if self.flow[(i, j)] == 1 and self.flow[(j, i)] == 1:
-            self._lock((i, j))
-            self._lock((j, i))
+        x_i, y_j, x_j, y_i = i, self.m + j, j, self.m + i
+        if self._saturated(i, j):
+            self._force(x_i, y_j)
+            self._force(x_j, y_i)
             return True
         mark = self.checkpoint()
-        x_i, y_j = i, self.m + j
         # The partner arc belongs to this forcing step; the repair path must
         # not consume it.
-        base_banned = frozenset({(j, self.m + i)})
-        self._set_flow((i, j), 1)
-        self._lock((i, j))
+        base_banned = frozenset({(x_j, y_i)})
+        self._force(x_i, y_j)
         inner = self.checkpoint()
 
         def attempt(path):
             """(success, first infeasible mirror arc); rolls back on failure."""
             self._apply_path(path)
-            self._set_flow((j, i), 1)
-            self._lock((j, i))
+            self._force(x_j, y_i)
             mirrored = self.mirror_path(path)
-            conflict = next(
-                (arc for arc in self._path_arcs(mirrored) if not self._feasible(*arc)),
-                None,
-            )
+            conflict = self._blocked_arc(mirrored)
             if conflict is None:
                 self._apply_path(mirrored)
                 self.assert_mirror()
@@ -388,7 +296,7 @@ class FlowNetwork:
             ok, conflict = attempt(path)
             if ok:
                 return True
-            banned = banned | {(self._mirror_node(conflict[1]), self._mirror_node(conflict[0]))}
+            banned = banned | {(self.mirror[conflict[1]], self.mirror[conflict[0]])}
             path = self._bfs(y_j, {x_i}, banned, terminals=True)
             if path is None:
                 break
@@ -405,7 +313,7 @@ class FlowNetwork:
         mark = self.checkpoint()
         self._apply_path(full)
         mirrored = self.mirror_path(full)
-        if all(self._feasible(a, b) for a, b in self._path_arcs(mirrored)):
+        if self._blocked_arc(mirrored) is None:
             self._apply_path(mirrored)
             self.assert_mirror()
             return True
@@ -413,11 +321,12 @@ class FlowNetwork:
         return False
 
     def _start_targets(self, a: int):
-        allow_self = self.sx[a] == 0
+        res, m = self.res, self.m
+        allow_self = not res[a][self.s]  # x_a carries no flow yet
         return {
-            self.m + b
-            for b in range(self.m)
-            if self.yt[b] < 2 and (b != a or allow_self)
+            m + b
+            for b in range(m)
+            if res[m + b][self.t] and (b != a or allow_self)
         }
 
     def augment_pair(self) -> bool:
@@ -428,10 +337,10 @@ class FlowNetwork:
         search run, settling the question exactly (a start with no plain
         path at all cannot have a conflict-free one).
         """
-        m = self.m
+        s, t, mirror = self.s, self.t, self.mirror
         reachable_starts = []
-        for a in range(m):
-            if self.sx[a] >= 2:
+        for a in range(self.m):
+            if not self.res[s][a]:
                 continue
             targets = self._start_targets(a)
             if not targets:
@@ -443,15 +352,11 @@ class FlowNetwork:
                 if path is None:
                     break
                 found_any = True
-                if self._try_mirror_pair([2 * m, *path, 2 * m + 1]):
+                if self._try_mirror_pair([s, *path, t]):
                     return True
+                arcs = list(zip(path, path[1:]))
                 collision = next(
-                    (
-                        arc
-                        for arc in self._path_arcs(path)
-                        if (self._mirror_node(arc[1]), self._mirror_node(arc[0]))
-                        in self._path_arcs(path)
-                    ),
+                    (arc for arc in arcs if (mirror[arc[1]], mirror[arc[0]]) in arcs),
                     None,
                 )
                 if collision is None:
@@ -461,7 +366,7 @@ class FlowNetwork:
                 reachable_starts.append(a)
         for a in reachable_starts:
             path = self._conflict_free_path(a, self._start_targets(a), terminals=False)
-            if path is not None and self._try_mirror_pair([2 * m, *path, 2 * m + 1]):
+            if path is not None and self._try_mirror_pair([s, *path, t]):
                 return True
         return False
 
@@ -472,14 +377,12 @@ class FlowNetwork:
         return self.value()
 
     def saturated_edges(self) -> frozenset:
-        return frozenset(
-            (i, j) for (i, j) in self.flow if i < j and self.flow[(i, j)] == 1 and self.flow[(j, i)] == 1
-        )
+        return frozenset(e for e in self.graph.edges if self._saturated(*e))
 
     def edge_usable(self, i: int, j: int) -> bool:
         """Whether some symmetric maximum flow also saturates edge {i, j};
         decided by speculatively forcing the pair and rolling back."""
-        if self.flow[(i, j)] == 1 and self.flow[(j, i)] == 1:
+        if self._saturated(i, j):
             return True
         mark = self.checkpoint()
         value_before = self.value()
@@ -690,10 +593,6 @@ class QuasiHamiltonian:
         if k < 1:
             raise ValueError("k must be >= 1")
         return self.qh_conn(frozenset(), k)
-
-
-def qh_set(graph: SimpleGraph, R: Iterable[tuple], k: int) -> frozenset:
-    return QuasiHamiltonian(graph).qh_set(R, k)
 
 
 def is_k_quasi_hamiltonian(graph: SimpleGraph, k: int) -> bool:

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from cayleykit.cayley import (
+    CycleGraph,
     build_cayley,
     commutator_cycle,
     commuting_4cycle,
     count_4cycles_through,
-    cyc_graph,
     element_degrees,
     is_normal,
     same_element_criterion,
@@ -115,7 +115,7 @@ class TestCycleGraphAndNormality:
         assert element_degrees(PATH5) == [1, 2, 2, 1]
 
     def test_cycle_graph_edges(self):
-        cg = cyc_graph(make_set(["(1 2 3 4)", "(4 5 6 7)"], 7, [4]))
+        cg = CycleGraph(make_set(["(1 2 3 4)", "(4 5 6 7)"], 7, [4]))
         assert cg.graph.edges == (
             (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
         )
@@ -130,7 +130,7 @@ class TestCycleGraphAndNormality:
 
     def test_multi_cycle_elements_rejected(self):
         with pytest.raises(ValueError):
-            cyc_graph(make_set(["(1 2)(3 4)"], 4, [2, 2]))
+            CycleGraph(make_set(["(1 2)(3 4)"], 4, [2, 2]))
 
     def test_cycle_graph_with_a_cycle_is_not_normal(self):
         T = make_set(["(1 2)", "(2 3)", "(1 3)"], 3, [2])

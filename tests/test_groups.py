@@ -9,10 +9,8 @@ from cayleykit.gensets import construct_basic_tree, construct_cycle_tree
 from cayleykit.groups import (
     StabilizerChain,
     build_chain,
-    contains,
     enumerate_elements,
     generates,
-    group_order,
     orbits,
 )
 from cayleykit.perms import Permutation
@@ -43,14 +41,14 @@ def mulclose(gens, n):
 class TestBuildChain:
     def test_transposition_plus_cycle_gives_full_group(self):
         chain = build_chain([P("(1 2)", 5), P("(2 3 4 5)", 5)], 5)
-        assert group_order(chain) == 120
+        assert chain.order() == 120
         assert len(mulclose(chain.generators, 5)) == 120
 
     def test_empty_generators(self):
-        assert group_order(build_chain([], 4)) == 1
+        assert build_chain([], 4).order() == 1
 
     def test_cyclic_group(self):
-        assert group_order(build_chain([P("(1 2 3)", 3)], 3)) == 3
+        assert build_chain([P("(1 2 3)", 3)], 3).order() == 3
 
     def test_chain_invariants(self):
         chain = build_chain([P("(1 2)", 5), P("(2 3 4 5)", 5)], 5)
@@ -59,7 +57,7 @@ class TestBuildChain:
             product *= len(transversal)
             for target, representative in transversal.items():
                 assert representative(point) == target
-        assert product == group_order(chain)
+        assert product == chain.order()
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -87,7 +85,7 @@ class TestPump:
 
         monkeypatch.setattr(StabilizerChain, "_verify_schreier", no_fallback)
         T = make()
-        assert group_order(build_chain(T.elements, T.degree)) == math.factorial(T.degree)
+        assert build_chain(T.elements, T.degree).order() == math.factorial(T.degree)
 
     def test_generates_reuses_a_built_chain(self, monkeypatch):
         gens = [P("(1 2)", 4), P("(2 3)", 4), P("(3 4)", 4)]
@@ -143,7 +141,7 @@ class TestSympyOracle:
             oracle = combinatorics.PermutationGroup(
                 [combinatorics.Permutation(t) for t in tables]
             )
-            assert group_order(build_chain(gens, n)) == oracle.order(), (kind, tables)
+            assert build_chain(gens, n).order() == oracle.order(), (kind, tables)
             expected = (
                 "symmetric" if oracle.is_symmetric
                 else "alternating" if oracle.is_alternating
@@ -170,20 +168,20 @@ class TestMembership:
         product = Permutation.identity(n)
         for index, inverted in word:
             product = product * (gens[index].inverse() if inverted else gens[index])
-        assert contains(chain, product)
+        assert chain.contains(product)
 
 
 class TestGroupOrder:
     def test_cycle_pair_order(self):
         chain = build_chain([P("(1 2 3 4)", 7), P("(4 5 6 7)", 7)], 7)
-        assert group_order(chain) == 5040
+        assert chain.order() == 5040
         assert len(mulclose(chain.generators, 7)) == 5040
 
     def test_22_point_basic_set_order_is_exact(self):
         from reference_tables import BASIC_22_TABLE
 
         gens = [P(line, 22) for line in BASIC_22_TABLE]
-        assert group_order(build_chain(gens, 22)) == math.factorial(22)
+        assert build_chain(gens, 22).order() == math.factorial(22)
 
     def test_matches_brute_closure_on_random_groups(self):
         rng = random.Random(99)
@@ -195,7 +193,7 @@ class TestGroupOrder:
                 rng.shuffle(images)
                 gens.append(Permutation(images))
             chain = build_chain(gens, n)
-            assert group_order(chain) == len(mulclose(gens, n))
+            assert chain.order() == len(mulclose(gens, n))
 
     def test_order_invariant_under_generator_shuffle_and_inversion(self):
         rng = random.Random(7)
@@ -206,28 +204,28 @@ class TestGroupOrder:
                 images = list(range(1, n + 1))
                 rng.shuffle(images)
                 gens.append(Permutation(images))
-            reference = group_order(build_chain(gens, n))
+            reference = build_chain(gens, n).order()
             shuffled = list(gens)
             rng.shuffle(shuffled)
             pick = rng.randrange(len(shuffled))
             shuffled[pick] = shuffled[pick].inverse()
-            assert group_order(build_chain(shuffled, n)) == reference
+            assert build_chain(shuffled, n).order() == reference
 
 
 class TestContains:
     def test_parity_exclusion(self):
         chain = build_chain([P("(1 2 3)", 3)], 3)
-        assert not contains(chain, P("(1 2)", 3))
-        assert contains(chain, P("(1 3 2)", 3))
+        assert not chain.contains(P("(1 2)", 3))
+        assert chain.contains(P("(1 3 2)", 3))
 
     def test_generator_membership(self):
         chain = build_chain([P("(1 2 3)", 3), P("(1 2)", 3)], 3)
-        assert contains(chain, P("(1 2)", 3))
+        assert chain.contains(P("(1 2)", 3))
 
     def test_degree_mismatch(self):
         chain = build_chain([P("(1 2)", 3)], 3)
         with pytest.raises(ValueError):
-            contains(chain, P("(1 2)", 4))
+            chain.contains(P("(1 2)", 4))
 
     def test_membership_matches_closure(self):
         rng = random.Random(13)
@@ -238,7 +236,7 @@ class TestContains:
             images = list(range(1, 7))
             rng.shuffle(images)
             sigma = Permutation(images)
-            assert contains(chain, sigma) == (sigma._map in closure)
+            assert chain.contains(sigma) == (sigma._map in closure)
 
 
 class TestGenerates:
@@ -317,5 +315,5 @@ class TestEnumerateElements:
                 images = list(range(1, n + 1))
                 rng.shuffle(images)
                 gens.append(Permutation(images))
-            chain_size = group_order(build_chain(gens, n))
+            chain_size = build_chain(gens, n).order()
             assert chain_size == len(enumerate_elements(gens, n, 1000))

@@ -25,7 +25,6 @@ from cayleykit.quasiham import (
     hamiltonian_via_qh,
     is_k_quasi_hamiltonian,
     qh_report,
-    qh_set,
 )
 
 from samplers import random_connected_graph, random_graph
@@ -72,6 +71,14 @@ class TestCycleFactorForced:
             if mine is not None:
                 assert set(forced) <= mine.edges
 
+    def test_petersen_factor_is_pinned(self):
+        # The factor the demo prints; a change of search order changes it.
+        factor = cycle_factor_forced(petersen_graph(), [])
+        assert factor.edges == frozenset([
+            (0, 1), (0, 4), (1, 2), (2, 3), (3, 4),
+            (5, 7), (5, 8), (6, 8), (6, 9), (7, 9),
+        ])
+
     def test_mirror_invariant_is_checked_during_runs(self):
         g = petersen_graph()
         net = FlowNetwork(g)
@@ -95,25 +102,25 @@ class TestFactorValidation:
 
 class TestQHSets:
     def test_every_cycle_edge_is_in_the_factor(self):
-        assert qh_set(cycle_graph(6), [], 1) == frozenset(cycle_graph(6).edges)
+        assert QuasiHamiltonian(cycle_graph(6)).qh_set([], 1) == frozenset(cycle_graph(6).edges)
 
     def test_petersen_level_one_nonempty(self):
-        assert qh_set(petersen_graph(), [], 1)
+        assert QuasiHamiltonian(petersen_graph()).qh_set([], 1)
 
     def test_odd_bipartite_level_one_empty(self):
-        assert qh_set(complete_bipartite(2, 3), [], 1) == frozenset()
+        assert QuasiHamiltonian(complete_bipartite(2, 3)).qh_set([], 1) == frozenset()
 
     def test_levels_shrink_inside_level_one(self):
         rng = random.Random(23)
         for _ in range(20):
             g = random_connected_graph(rng, 4, 7)
-            level1 = qh_set(g, [], 1)
+            level1 = QuasiHamiltonian(g).qh_set([], 1)
             for k in (2, 3):
-                assert qh_set(g, [], k) <= level1
+                assert QuasiHamiltonian(g).qh_set([], k) <= level1
 
     def test_invalid_level(self):
         with pytest.raises(ValueError):
-            qh_set(cycle_graph(4), [], 0)
+            QuasiHamiltonian(cycle_graph(4)).qh_set([], 0)
 
 
 class TestHamiltonicity:
@@ -246,6 +253,37 @@ class TestConflictFreeBudget:
         with pytest.raises(BudgetExceeded):
             for i, j in FALLBACK_GRAPH.edges:
                 net.edge_usable(i, j)
+
+
+# With (0, 5) forced, deciding (0, 3) here takes the exhaustive search, and
+# only a path that respects the mirror rule leads to the factor.
+MIRROR_RULE_GRAPH = SimpleGraph(8, [
+    (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5), (1, 7),
+    (2, 3), (2, 5), (2, 7), (3, 4), (3, 6), (3, 7), (5, 6), (5, 7), (6, 7),
+])
+
+
+class TestLevelOneOracle:
+    """QH_1(G, R) against its definition, decided by exhaustive search."""
+
+    @staticmethod
+    def _assert_level_one_matches_oracle(g):
+        for R in [frozenset()] + [frozenset({f}) for f in g.edges]:
+            expected = frozenset(
+                e for e in g.edges if brute_cycle_factor(g, R | {e}) is not None
+            )
+            assert QuasiHamiltonian(g).qh1(R) == expected, sorted(R)
+
+    @pytest.mark.parametrize("graph", [
+        petersen_graph(), complete_bipartite(3, 3), FALLBACK_GRAPH, MIRROR_RULE_GRAPH,
+    ], ids=["Petersen", "K33", "fallback", "mirror-rule"])
+    def test_named_graphs(self, graph):
+        self._assert_level_one_matches_oracle(graph)
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(77)
+        for _ in range(30):
+            self._assert_level_one_matches_oracle(random_connected_graph(rng, 3, 8))
 
 
 class TestCosetPartition:
