@@ -3,12 +3,13 @@ connection set T u T^-1, and the semidirect-product order identity report.
 
 The graph search is individualization-refinement: vertices are colored by an
 equitable refinement whose signatures mix neighbor colors with per-edge
-4-cycle counts (cheap and highly discriminating on these graphs), then a
-backtracking search individualizes one vertex per level, pruning candidate
-images by the orbits of the automorphisms already found.  The returned order
-is the product of the base-point orbit sizes, so no separate stabilizer
-chain over the vertex set is needed.  Every returned automorphism is
-verified edge-preserving before it is trusted.
+4-cycle counts (cheap and highly discriminating on these graphs).  The first
+path of individualized base points is refined once; the backtracking search
+refines only target colorings, pruning candidate images by the orbits of the
+automorphisms already found.  The returned order is the product of the
+base-point orbit sizes, so no separate stabilizer chain over the vertex set
+is needed.  Every returned automorphism is verified edge-preserving before
+it is trusted.
 
 The search is single-threaded and deterministic; the generator list is
 canonically sorted, so results do not depend on scheduling.
@@ -17,14 +18,20 @@ canonically sorted, so results do not depend on scheduling.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded
-from .cayley import CayleyGraph, CycleGraph, build_cayley, count_4cycles_through
+from .cayley import CayleyGraph, CycleGraph, build_cayley, count_4cycles_through, is_normal
 from .gensets import GeneratorSet
 from .graphs import SimpleGraph
-from .perms import Permutation
+from .perms import Permutation, invert_map
+
+# Node budget of one conjugation search.  It enters at most one node per
+# partial injection, e * 8! (about 109,600) for n <= 8; the star on 9 points
+# already needs 109,610 and the star on 10 points 986,420.
+_CONJUGATION_NODE_BUDGET = 200_000
 
 
 class GraphAutomorphism:
@@ -50,54 +57,61 @@ class GraphAutomorphism:
 
 
 class _AutSearch:
+    """One individualization-refinement search, source side precomputed.
+
+    The first path (McKay and Piperno 2014) is built once: ``path[0]`` is
+    the refined unit coloring, ``base[i]`` the least vertex of the first
+    non-singleton cell of ``path[i]`` by color order, and ``path[i + 1]``
+    refines ``path[i]`` with ``base[i]`` individualized, until the coloring
+    is discrete.  The search then refines target colorings only.
+    """
+
     def __init__(self, graph: SimpleGraph):
         self.adj = graph.adjacency
         self.sets = [set(nbrs) for nbrs in self.adj]
         self.n = graph.vertex_count
-        self.edge_inv = {e: count_4cycles_through(graph, e) for e in graph.edges}
-
-    def _inv(self, u: int, v: int) -> int:
-        return self.edge_inv[(u, v) if u < v else (v, u)]
-
-    def refine(self, colors: list) -> Optional[list]:
-        """Equitable refinement; colors are dense ints, canonical by key order."""
-        colors = list(colors)
+        # per vertex: (neighbor, 4-cycles through the edge), one count per edge
+        self.nbrs: list = [[] for _ in range(self.n)]
+        for u, v in graph.edges:
+            count = count_4cycles_through(graph, (u, v))
+            self.nbrs[u].append((v, count))
+            self.nbrs[v].append((u, count))
+        colors = self.refine([0] * self.n)
+        self.path, self.base = [colors], []
         while True:
-            keys = []
-            for v in range(self.n):
-                nb = sorted((colors[w], self._inv(v, w)) for w in self.adj[v])
-                keys.append((colors[v], tuple(nb)))
+            cells = [c for c, size in Counter(colors).items() if size > 1]
+            if not cells:
+                break
+            self.base.append(colors.index(min(cells)))
+            colors = self.refine(self._individualize(colors, self.base[-1]))
+            self.path.append(colors)
+        self.signatures = [sorted(colors) for colors in self.path]
+
+    def refine(self, colors: list) -> list:
+        """Equitable refinement; colors are dense ints, canonical by key order."""
+        while True:
+            keys = [
+                (colors[v], tuple(sorted((colors[w], count) for w, count in nbrs)))
+                for v, nbrs in enumerate(self.nbrs)
+            ]
             ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
             new_colors = [ranking[k] for k in keys]
             if new_colors == colors:
                 return colors
             colors = new_colors
 
-    def signature(self, colors: list) -> tuple:
-        return tuple(sorted(colors))
-
-    def _first_cell(self, colors: list) -> Optional[int]:
-        """Color of the first non-singleton cell, by color order."""
-        counts: dict = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        for c in sorted(counts):
-            if counts[c] > 1:
-                return c
-        return None
-
     def _individualize(self, colors: list, v: int) -> list:
         out = list(colors)
         out[v] = self.n + max(colors) + 1
         return out
 
-    def _extend(self, src: list, tgt: list) -> Optional[tuple]:
-        src = self.refine(src)
-        tgt = self.refine(tgt)
-        if self.signature(src) != self.signature(tgt):
+    def _extend(self, level: int, tgt: list) -> Optional[tuple]:
+        """An automorphism taking ``path[level]`` to the refined coloring
+        ``tgt``, or None; ``tgt`` follows the path's cells down to a leaf."""
+        if sorted(tgt) != self.signatures[level]:
             return None
-        cell_color = self._first_cell(src)
-        if cell_color is None:
+        src = self.path[level]
+        if level == len(self.base):
             # Both discrete: read the color-aligned bijection and verify it.
             by_color = {c: v for v, c in enumerate(tgt)}
             mapping = [by_color[c] for c in src]
@@ -105,27 +119,20 @@ class _AutSearch:
                 if {mapping[w] for w in self.adj[u]} != self.sets[mapping[u]]:
                     return None
             return tuple(mapping)
-        v = min(i for i, c in enumerate(src) if c == cell_color)
-        for u in sorted(i for i, c in enumerate(tgt) if c == cell_color):
-            found = self._extend(
-                self._individualize(src, v), self._individualize(tgt, u)
-            )
+        cell_color = src[self.base[level]]
+        for u in (i for i, c in enumerate(tgt) if c == cell_color):
+            found = self._extend(level + 1, self.refine(self._individualize(tgt, u)))
             if found is not None:
                 return found
         return None
 
     def run(self) -> tuple:
         """Returns (order, generator mappings)."""
-        base_colors = self.refine([0] * self.n)
         gens: list = []
         order = 1
-        colors = base_colors
-        while True:
-            cell_color = self._first_cell(colors)
-            if cell_color is None:
-                break
-            cell = [v for v, c in enumerate(colors) if c == cell_color]
-            b = cell[0]
+        for level, b in enumerate(self.base):
+            colors = self.path[level]
+            cell = [v for v, c in enumerate(colors) if c == colors[b]]
             # Only automorphisms found at this level fix the whole prefix,
             # so the stabilizer orbit of b must be computed from them alone
             # (deeper ones will fix b too and cannot enlarge it).
@@ -137,17 +144,13 @@ class _AutSearch:
                 if u in orbit:
                     continue
                 found = self._extend(
-                    self._individualize(colors, b), self._individualize(colors, u)
+                    level + 1, self.refine(self._individualize(colors, u))
                 )
                 if found is not None:
-                    inverse = [0] * self.n
-                    for v, image in enumerate(found):
-                        inverse[image] = v
-                    level_maps += (found, inverse)
+                    level_maps += (found, invert_map(found))
                     gens.append(found)
                     orbit = self._orbit(b, level_maps)
             order *= len(orbit & set(cell))
-            colors = self.refine(self._individualize(colors, b))
         return order, gens
 
     def _orbit(self, b: int, mappings: list) -> set:
@@ -186,31 +189,16 @@ def aut_snt(T: GeneratorSet, n: int) -> list:
     S, not T, is what the Cayley graph sees; the two stabilizers agree when
     T consists of involutions.  Inner automorphisms only; this is the whole
     automorphism group of S_n for n != 6, and callers at n = 6 get the
-    caveat flagged in reports.  Exhaustive over S_n up to n = 8, pruned
-    backtracking beyond.
+    caveat flagged in reports.  One pruned backtracking search serves every
+    n; it raises BudgetExceeded past ``_CONJUGATION_NODE_BUDGET`` nodes.
     """
     target = set(T.elements) | {g.inverse() for g in T.elements}
-    if n <= 8:
-        found = [
-            sigma
-            for sigma in _all_permutations(n)
-            if {g.conjugate_by(sigma) for g in target} == target
-        ]
-        return sorted(found)
     return sorted(_conjugation_search(list(target), n))
-
-
-def _all_permutations(n: int):
-    import itertools
-
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
 
 
 def _conjugation_search(elements: list, n: int) -> list:
     """Backtracking over point images; a partial map must send every element's
     partial relabeling into the support structure of some target element."""
-    supports = [g.support() for g in elements]
     point_pairs = {}
     for g in elements:
         for x in range(1, n + 1):
@@ -219,6 +207,7 @@ def _conjugation_search(elements: list, n: int) -> list:
     results = []
     images = [0] * (n + 1)
     used = set()
+    nodes = 0
 
     def feasible(x: int) -> bool:
         # every mapped arrow x -> g(x) must appear as an arrow of the image set
@@ -230,6 +219,12 @@ def _conjugation_search(elements: list, n: int) -> list:
         return True
 
     def descend(x: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > _CONJUGATION_NODE_BUDGET:
+            raise BudgetExceeded(
+                f"conjugation search exceeded {_CONJUGATION_NODE_BUDGET} nodes"
+            )
         if x > n:
             sigma = Permutation(images[1:])
             if {g.conjugate_by(sigma) for g in elements} == set(elements):
@@ -349,8 +344,7 @@ class AutReport:
         return header + "\n" + row + "\n"
 
 
-def verify_order_identity(T: GeneratorSet, n: int, budget: int = 2000,
-                    graph: Optional[CayleyGraph] = None) -> AutReport:
+def verify_order_identity(T: GeneratorSet, n: int, budget: int = 2000) -> AutReport:
     """Compute both sides of the semidirect order identity independently.
 
     Left side: the graph automorphism order by partition-refinement search.
@@ -359,17 +353,12 @@ def verify_order_identity(T: GeneratorSet, n: int, budget: int = 2000,
     recorded), since those data points bear on the conjecture that the
     identity holds anyway.
     """
-    from .cayley import is_normal as _is_normal
-
-    if graph is None:
-        graph = build_cayley(T, cap=max(budget, 1))
-    if graph.vertex_count > budget:
-        raise BudgetExceeded(f"{graph.vertex_count} vertices exceeds budget {budget}")
+    graph = build_cayley(T, cap=max(budget, 1))
     aut_order, _ = graph_aut_order(graph, budget)
     stabilizing = aut_snt(T, n)
     single_cycles = all(len(g.cycles()) == 1 for g in T.elements)
     if single_cycles:
-        normal, reasons = _is_normal(T)
+        normal, reasons = is_normal(T)
         cyc_aut = graph_aut_order(CycleGraph(T).graph, budget)[0]
     else:
         normal, reasons = False, ["elements are not single cycles"]

@@ -188,14 +188,13 @@ def same_element_criterion(graph: CayleyGraph, x: int, y: int, z: int) -> bool:
     return count_4cycles_through(graph, (x, y)) == count_4cycles_through(graph, (y, z))
 
 
-def commuting_4cycle(graph: CayleyGraph, t1: Permutation, t2: Permutation,
-                     strict: Optional[bool] = None):
+def commuting_4cycle(graph: CayleyGraph, t1: Permutation, t2: Permutation):
     """The unique 4-cycle through the path t2 -> identity -> t1, if any.
 
     For split sets one exists iff t1 and t2 commute, and it is
     identity -> t1 -> t1*t2 -> t2 -> identity; this is verified against an
     exhaustive common-neighbor search.  For non-split sets the probe still
-    runs but the iff is not asserted unless ``strict`` is forced.
+    runs but the iff is not asserted.
     """
     if t1 == t2:
         return None
@@ -203,8 +202,7 @@ def commuting_4cycle(graph: CayleyGraph, t1: Permutation, t2: Permutation,
     v1 = graph.vertex_of(t1)
     v2 = graph.vertex_of(t2)
     common = (set(graph.adjacency[v1]) & set(graph.adjacency[v2])) - {e}
-    if strict is None:
-        strict = is_split(graph.generating_set)
+    strict = is_split(graph.generating_set)
     if t1 * t2 == t2 * t1:
         w = graph.vertex_of(t1 * t2)
         if strict and common != {w}:

@@ -26,18 +26,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded
-from .perms import Permutation, compose_maps
+from .perms import Permutation, compose_maps, invert_map
 
 _PUMP_SEED = 0x5EED
 _PUMP_SLOTS = 10
 _PUMP_WARMUP = 30
-
-
-def _invert(a: tuple) -> tuple:
-    inv = [0] * len(a)
-    for i, x in enumerate(a):
-        inv[x] = i
-    return tuple(inv)
 
 
 class _Level:
@@ -65,7 +58,7 @@ class _Level:
             q = g[p]
             if q not in self.transversal:
                 u = compose_maps(self.transversal[p][0], g)
-                self.transversal[q] = (u, _invert(u))
+                self.transversal[q] = (u, invert_map(u))
                 self._order.append(q)
                 frontier.append(q)
         while frontier:
@@ -76,7 +69,7 @@ class _Level:
                     q = h[p]
                     if q not in self.transversal:
                         u = compose_maps(up, h)
-                        self.transversal[q] = (u, _invert(u))
+                        self.transversal[q] = (u, invert_map(u))
                         self._order.append(q)
                         nxt.append(q)
             frontier = nxt

@@ -26,6 +26,14 @@ def compose_maps(a: tuple, b: tuple) -> tuple:
     return tuple(b[x] for x in a)
 
 
+def invert_map(table: tuple) -> tuple:
+    """Image table of the inverse of ``table`` (0-based)."""
+    inv = [0] * len(table)
+    for i, x in enumerate(table):
+        inv[x] = i
+    return tuple(inv)
+
+
 class Permutation:
     """A bijection on {1..n}, stored as an image table.
 
@@ -119,10 +127,7 @@ class Permutation:
         return result
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self._map)
-        for i, x in enumerate(self._map):
-            inv[x] = i
-        return Permutation._from_zero_based(tuple(inv))
+        return Permutation._from_zero_based(invert_map(self._map))
 
     def extend(self, n: int) -> "Permutation":
         """Re-encode into degree ``n`` >= current degree, fixing the new points.

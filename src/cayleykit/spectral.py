@@ -194,11 +194,16 @@ def _chebyshev_filter(op: _SparseOperator, X: np.ndarray, values, residuals,
     return Y
 
 
-def _group_entries(values, residuals, tol: float) -> tuple:
+def _group_entries(values, residuals) -> tuple:
+    """(value, multiplicity, max residual) per eigenvalue, descending.
+
+    Each value lies within its residual of an eigenvalue (Bauer-Fike), so a
+    value joins the current entry only when it lies within that entry's
+    residual plus its own; values farther apart are distinct eigenvalues.
+    """
     entries = []
-    group_tol = max(math.sqrt(tol), 1e-9)
     for value, residual in zip(values, residuals):
-        if entries and abs(entries[-1][0] - value) <= group_tol * max(1.0, abs(value)):
+        if entries and abs(entries[-1][0] - value) <= entries[-1][2] + residual:
             prev_value, mult, prev_res = entries[-1]
             entries[-1] = (prev_value, mult + 1, max(prev_res, residual))
         else:
@@ -235,7 +240,7 @@ def spectrum_topk(graph, kind: str = "adjacency", k: int = 1,
             done += 1
         if done == k:
             return SpectrumReport(kind, "iterative", tol,
-                                  _group_entries(values[:k], residuals[:k], tol))
+                                  _group_entries(values[:k], residuals[:k]))
         filtered = _chebyshev_filter(op, X[:, done:], values, residuals, k, lo, hi)
         X = np.linalg.qr(np.hstack([X[:, :done], filtered]))[0]
     worst = float(max(residuals[:k]))

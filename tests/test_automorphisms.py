@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cayleykit import automorphisms
 from cayleykit.automorphisms import (
     GraphAutomorphism,
     aut_snt,
@@ -13,9 +14,16 @@ from cayleykit.automorphisms import (
     verify_order_identity,
 )
 from cayleykit.cayley import build_cayley
-from cayleykit.errors import BudgetExceeded
+from cayleykit.cli import main
+from cayleykit.errors import BudgetExceeded, CapExceeded
 from cayleykit.gensets import GeneratorSet
-from cayleykit.graphs import SimpleGraph, complete_graph, cycle_graph, petersen_graph
+from cayleykit.graphs import (
+    SimpleGraph,
+    complete_graph,
+    cycle_graph,
+    export_edge_list,
+    petersen_graph,
+)
 from cayleykit.perms import CycleType, Permutation
 
 
@@ -40,6 +48,21 @@ def brute_aut_order(graph):
         if all({images[w] for w in graph.adjacency[u]} == sets[images[u]] for u in range(n)):
             count += 1
     return count
+
+
+def brute_aut_snt(T, n):
+    """Exhaustive-scan oracle: every sigma in S_n preserving T u T^-1."""
+    target = set(T.elements) | {g.inverse() for g in T.elements}
+    found = []
+    for images in itertools.permutations(range(1, n + 1)):
+        sigma = Permutation(images)
+        if {g.conjugate_by(sigma) for g in target} == target:
+            found.append(sigma)
+    return sorted(found)
+
+
+def tree_set(n, pairs):
+    return make_set([f"({a} {b})" for a, b in pairs], n, [2])
 
 
 class TestGraphAutOrder:
@@ -73,6 +96,24 @@ class TestGraphAutOrder:
         with pytest.raises(BudgetExceeded):
             graph_aut_order(cycle_graph(10), budget=5)
 
+    @pytest.mark.parametrize(
+        "graph, generators",
+        [
+            (lambda: build_cayley(PATH5), 3),
+            (lambda: build_cayley(tree_set(5, [(1, 2), (1, 3), (1, 4), (1, 5)])), 7),
+            (lambda: build_cayley(tree_set(6, [(i, i + 1) for i in range(1, 6)])), 4),
+            (petersen_graph, 4),
+            (lambda: SimpleGraph(6, [(a, b) for a in range(3) for b in range(3, 6)]), 7),
+        ],
+        ids=["path5", "star5", "path6", "petersen", "k33"],
+    )
+    def test_cli_generator_counts_are_pinned(self, graph, generators, tmp_path, capsys):
+        # the count follows the search order, so a change of order shows here
+        graph_file = tmp_path / "g.el"
+        graph_file.write_text(export_edge_list(graph()))
+        assert main(["aut", "--graph", str(graph_file)]) == 0
+        assert f"generators={generators}" in capsys.readouterr().out.splitlines()
+
     def test_order_divisible_by_vertices_on_cayley_graphs(self):
         g = build_cayley(make_set(["(1 2)", "(2 3)", "(3 4)"], 4, [2]))
         order, _ = graph_aut_order(g)
@@ -100,7 +141,7 @@ class TestAutSnt:
         assert len(aut_snt(T, n)) == math.factorial(n)
 
     def test_backtracking_path_matches_exhaustive(self):
-        # degree 9 forces the pruned search; compare against the small case
+        # degree 9, past the exhaustive oracle; only the reversal preserves it
         T9 = make_set(
             ["(1 2)", "(2 3)", "(3 4)", "(4 5)", "(5 6)", "(6 7)", "(7 8)", "(8 9)"],
             9,
@@ -122,6 +163,29 @@ class TestAutSnt:
         T = make_set(texts, 9, [4])
         with_inverses = make_set(texts + ["(1 4 3 2)", "(4 7 6 5)", "(6 9 8 7)"], 9, [4])
         assert aut_snt(T, 9) == aut_snt(with_inverses, 9)
+
+    def test_matches_exhaustive_scan_on_random_sets(self):
+        # 3-cycles and 4-cycles are not involutions, so there S != T
+        rng = random.Random(2718)
+        for i in range(21):
+            k = (2, 3, 4)[i % 3]
+            n = rng.randint(max(k, 3), 6)
+            elements = set()
+            for _ in range(rng.randint(1, 4)):
+                elements.add(Permutation.from_cycles([rng.sample(range(1, n + 1), k)], n))
+            T = GeneratorSet(n, sorted(elements), CycleType([k]))
+            assert aut_snt(T, n) == brute_aut_snt(T, n)
+
+    def test_node_budget(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(automorphisms, "_CONJUGATION_NODE_BUDGET", 1)
+        with pytest.raises(BudgetExceeded):
+            aut_snt(PATH5, 5)
+        gens = tmp_path / "path4.gens"
+        gens.write_text("n=4 type=2\n(1 2)\n(2 3)\n(3 4)\n")
+        assert main(["aut", "--set", str(gens)]) == 1
+        stderr = capsys.readouterr().err
+        assert "conjugation search exceeded 1 nodes" in stderr
+        assert "Traceback" not in stderr
 
 
 class TestRepresentations:
@@ -173,6 +237,11 @@ class TestOrderIdentity:
         assert not report.normal
         assert report.graph_aut_order == 48
         assert report.identity_holds  # the identity extends past the hypothesis here
+
+    def test_budget_caps_the_cayley_graph(self):
+        with pytest.raises(CapExceeded):
+            verify_order_identity(PATH5, 5, budget=119)
+        assert verify_order_identity(PATH5, 5, budget=120).identity_holds
 
     def test_n6_caveat_flagged(self):
         T = make_set(["(1 2)", "(2 3)", "(3 4)", "(4 5)", "(5 6)"], 6, [2])
