@@ -3,7 +3,10 @@ connection set T u T^-1, and the semidirect-product order identity report.
 
 The graph search is individualization-refinement: vertices are colored by an
 equitable refinement whose signatures mix neighbor colors with per-edge
-4-cycle counts (cheap and highly discriminating on these graphs).  The first
+4-cycle counts (cheap and highly discriminating on these graphs).
+Refinement is one array pass per round over a CSR (neighbour, 4-cycle count)
+table built once per search: each round sorts every vertex's encoded
+neighbour codes and ranks the vertex keys with one lexsort.  The first
 path of individualized base points is refined once; the backtracking search
 refines only target colorings, pruning candidate images by the orbits of the
 automorphisms already found.  The returned order is the product of the
@@ -18,9 +21,10 @@ canonically sorted, so results do not depend on scheduling.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceeded
 from .cayley import CayleyGraph, CycleGraph, build_cayley, count_4cycles_through, is_normal
@@ -63,64 +67,96 @@ class _AutSearch:
     the refined unit coloring, ``base[i]`` the least vertex of the first
     non-singleton cell of ``path[i]`` by color order, and ``path[i + 1]``
     refines ``path[i]`` with ``base[i]`` individualized, until the coloring
-    is discrete.  The search then refines target colorings only.
+    is discrete.  The search then refines target colorings only.  Colorings
+    are int64 arrays throughout.
     """
 
     def __init__(self, graph: SimpleGraph):
-        self.adj = graph.adjacency
-        self.sets = [set(nbrs) for nbrs in self.adj]
-        self.n = graph.vertex_count
-        # per vertex: (neighbor, 4-cycles through the edge), one count per edge
-        self.nbrs: list = [[] for _ in range(self.n)]
-        for u, v in graph.edges:
-            count = count_4cycles_through(graph, (u, v))
-            self.nbrs[u].append((v, count))
-            self.nbrs[v].append((u, count))
-        colors = self.refine([0] * self.n)
+        n = self.n = graph.vertex_count
+        adj = graph.adjacency
+        count = {e: count_4cycles_through(graph, e) for e in graph.edges}
+        # CSR neighbour table: entry i is the edge rows[i] -> nbrs[i] with
+        # its 4-cycle count; rows ascend and each row's neighbours ascend.
+        degrees = np.array([len(nbrs) for nbrs in adj], dtype=np.int64)
+        self.rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        self.nbrs = np.array([w for nbrs in adj for w in nbrs], dtype=np.int64)
+        self.counts = np.array(
+            [count[min(u, w), max(u, w)] for u, nbrs in enumerate(adj) for w in nbrs],
+            dtype=np.int64,
+        )
+        self.radix = int(self.counts.max(initial=0)) + 1
+        # a row's entries fill the first degree slots of its padded key row
+        self.width = int(degrees.max(initial=0))
+        starts = np.cumsum(degrees) - degrees
+        self.slots = self.rows * self.width + np.arange(len(self.rows)) - starts[self.rows]
+        self.padding = np.arange(self.width) >= degrees[:, None]
+        self.edge_keys = self.rows * n + self.nbrs
+        colors = self.refine(np.zeros(n, dtype=np.int64))
         self.path, self.base = [colors], []
         while True:
-            cells = [c for c, size in Counter(colors).items() if size > 1]
-            if not cells:
+            cells = np.flatnonzero(np.bincount(colors) > 1)
+            if not cells.size:
                 break
-            self.base.append(colors.index(min(cells)))
+            self.base.append(int(np.argmax(colors == cells[0])))
             colors = self.refine(self._individualize(colors, self.base[-1]))
             self.path.append(colors)
-        self.signatures = [sorted(colors) for colors in self.path]
+        self.signatures = [np.sort(colors) for colors in self.path]
 
-    def refine(self, colors: list) -> list:
-        """Equitable refinement; colors are dense ints, canonical by key order."""
+    def refine(self, colors: np.ndarray) -> np.ndarray:
+        """Equitable refinement of nonnegative int colors; the result is
+        dense ints, canonical by key order.
+
+        A vertex's key is its own color followed by the sorted codes
+        ``neighbour color * radix + 4-cycle count`` of its edges, padded
+        with -1 so that a shorter key sorts first; keys are ranked in
+        lexicographic order, one array pass per round.  The search keeps
+        colors at most 2n, so the codes fit int64 on any graph that fits in
+        memory.
+        """
+        colors = np.asarray(colors, dtype=np.int64)
+        n, width = self.n, self.width
+        keys = np.empty((width + 1, n), dtype=np.int64)  # primary key last
         while True:
-            keys = [
-                (colors[v], tuple(sorted((colors[w], count) for w, count in nbrs)))
-                for v, nbrs in enumerate(self.nbrs)
-            ]
-            ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
-            new_colors = [ranking[k] for k in keys]
-            if new_colors == colors:
+            table = np.full(n * width, np.iinfo(np.int64).max)
+            table[self.slots] = colors[self.nbrs] * self.radix + self.counts
+            table = table.reshape(n, width)
+            table.sort(axis=1)
+            table[self.padding] = -1
+            keys[:width] = table.T[::-1]
+            keys[width] = colors
+            order = np.lexsort(keys)
+            ranked = keys[:, order]
+            fresh = np.ones(n, dtype=bool)
+            fresh[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+            new_colors = np.empty(n, dtype=np.int64)
+            new_colors[order] = np.cumsum(fresh) - 1
+            if np.array_equal(new_colors, colors):
                 return colors
             colors = new_colors
 
-    def _individualize(self, colors: list, v: int) -> list:
-        out = list(colors)
-        out[v] = self.n + max(colors) + 1
+    def _individualize(self, colors: np.ndarray, v: int) -> np.ndarray:
+        out = colors.copy()
+        out[v] = self.n + colors.max() + 1
         return out
 
-    def _extend(self, level: int, tgt: list) -> Optional[tuple]:
+    def _extend(self, level: int, tgt: np.ndarray) -> Optional[tuple]:
         """An automorphism taking ``path[level]`` to the refined coloring
         ``tgt``, or None; ``tgt`` follows the path's cells down to a leaf."""
-        if sorted(tgt) != self.signatures[level]:
+        if not np.array_equal(np.sort(tgt), self.signatures[level]):
             return None
         src = self.path[level]
         if level == len(self.base):
-            # Both discrete: read the color-aligned bijection and verify it.
-            by_color = {c: v for v, c in enumerate(tgt)}
-            mapping = [by_color[c] for c in src]
-            for u in range(self.n):
-                if {mapping[w] for w in self.adj[u]} != self.sets[mapping[u]]:
-                    return None
-            return tuple(mapping)
+            # Both discrete: read the color-aligned bijection and verify
+            # that it maps the edge set onto itself.
+            inv_tgt = np.empty(self.n, dtype=np.int64)
+            inv_tgt[tgt] = np.arange(self.n)
+            mapping = inv_tgt[src]
+            mapped = np.sort(mapping[self.rows] * self.n + mapping[self.nbrs])
+            if not np.array_equal(mapped, self.edge_keys):
+                return None
+            return tuple(mapping.tolist())
         cell_color = src[self.base[level]]
-        for u in (i for i, c in enumerate(tgt) if c == cell_color):
+        for u in np.flatnonzero(tgt == cell_color):
             found = self._extend(level + 1, self.refine(self._individualize(tgt, u)))
             if found is not None:
                 return found
@@ -132,7 +168,7 @@ class _AutSearch:
         order = 1
         for level, b in enumerate(self.base):
             colors = self.path[level]
-            cell = [v for v, c in enumerate(colors) if c == colors[b]]
+            cell = np.flatnonzero(colors == colors[b]).tolist()
             # Only automorphisms found at this level fix the whole prefix,
             # so the stabilizer orbit of b must be computed from them alone
             # (deeper ones will fix b too and cannot enlarge it).

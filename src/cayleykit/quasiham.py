@@ -48,6 +48,12 @@ __all__ = [
 # benchmark graphs (up to 10 vertices) enter at most 91 nodes.
 _CONFLICT_FREE_NODE_BUDGET = 100_000
 
+# Node budget of one coset partition search (exact-cover backtracking, one
+# scan of the group per node).  Seeded random subsets of S_4 enter at most
+# 553 nodes; 100,000 nodes take about 5 s on S_5, where random subsets of
+# 4 or 5 elements already exceed it.
+_COSET_NODE_BUDGET = 100_000
+
 
 def _normalize_edges(edges: Iterable[tuple]) -> frozenset:
     return frozenset((min(u, v), max(u, v)) for u, v in edges)
@@ -629,6 +635,8 @@ def coset_partition(group_elements: Sequence[Permutation], subset: Sequence[Perm
 
     Exact-cover backtracking over left translates; an immediate None when |T|
     does not divide the group size.  The returned witness is verified.
+    Raises BudgetExceeded once the search has entered more than
+    ``_COSET_NODE_BUDGET`` nodes.
     """
     if not subset:
         raise ValueError("the translated subset must be nonempty")
@@ -663,8 +671,13 @@ def coset_partition(group_elements: Sequence[Permutation], subset: Sequence[Perm
 
     full = (1 << size) - 1
     witness: list = []
+    nodes = 0
 
     def cover(done: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > _COSET_NODE_BUDGET:
+            raise BudgetExceeded(f"coset partition search exceeded {_COSET_NODE_BUDGET} nodes")
         if done == full:
             return True
         pivot = (done ^ full) & -(done ^ full)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cayleykit import automorphisms
@@ -65,6 +66,110 @@ def tree_set(n, pairs):
     return make_set([f"({a} {b})" for a, b in pairs], n, [2])
 
 
+def reference_neighbours(graph):
+    """Per vertex, its (neighbour, 4-cycles through the edge) pairs.
+
+    A 4-cycle through the edge uv is a 3-walk u-a-b-v with a != v and
+    b != u, so it is counted as (A^3)[u, v] - deg u - deg v + 1.
+    """
+    n = graph.vertex_count
+    adjacency = np.zeros((n, n))
+    for u, v in graph.edges:
+        adjacency[u, v] = adjacency[v, u] = 1
+    walks = adjacency @ adjacency @ adjacency  # exact: entries stay below 2**53
+    degree = adjacency.sum(axis=1)
+    nbrs = [[] for _ in range(n)]
+    for u, v in graph.edges:
+        count = int(walks[u, v] - degree[u] - degree[v] + 1)
+        nbrs[u].append((v, count))
+        nbrs[v].append((u, count))
+    return nbrs
+
+
+def reference_refine(nbrs, colors):
+    """The tuple-sorting refinement the array pass replaced: each round keys
+    every vertex by (own color, sorted (neighbour color, 4-cycle count)
+    pairs) and recolors it by the dense rank of its key."""
+    colors = list(colors)
+    while True:
+        keys = [
+            (colors[v], tuple(sorted((colors[w], count) for w, count in row)))
+            for v, row in enumerate(nbrs)
+        ]
+        ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
+        new_colors = [ranking[k] for k in keys]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def random_graph(rng, lo, hi):
+    n = rng.randint(lo, hi)
+    p = rng.random()
+    return SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+# One vertex of degree 3 and two of degree 2 on a pendant vertex each: the
+# unit coloring's first round sees keys that are strict prefixes of others.
+PREFIX_GRAPH = SimpleGraph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])
+
+
+class TestRefinement:
+    """``_AutSearch.refine`` against the tuple-sorting reference."""
+
+    @staticmethod
+    def _colorings(rng, search):
+        n = search.n
+        yield [0] * n
+        for _ in range(2):
+            yield [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        yield [rng.randrange(3 * n) for _ in range(n)]
+        for level in (0, len(search.path) - 1):
+            yield search._individualize(search.path[level], rng.randrange(n)).tolist()
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = random.Random(1009)
+        for _ in range(300):
+            g = random_graph(rng, 1, 40)
+            search = automorphisms._AutSearch(g)
+            nbrs = reference_neighbours(g)
+            for colors in self._colorings(rng, search):
+                assert search.refine(colors).tolist() == reference_refine(nbrs, colors)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            lambda: build_cayley(tree_set(4, [(1, 2), (2, 3), (3, 4)])),
+            lambda: build_cayley(PATH5),
+            lambda: build_cayley(tree_set(6, [(i, i + 1) for i in range(1, 6)])),
+            lambda: build_cayley(STAR4),
+            lambda: build_cayley(tree_set(5, [(1, i) for i in range(2, 6)])),
+            lambda: build_cayley(tree_set(6, [(1, i) for i in range(2, 7)])),
+            petersen_graph,
+            lambda: SimpleGraph(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+        ],
+        ids=["path4", "path5", "path6", "star4", "star5", "star6", "petersen", "k33"],
+    )
+    def test_matches_reference_on_named_graphs(self, graph):
+        g = graph()
+        search = automorphisms._AutSearch(g)
+        nbrs = reference_neighbours(g)
+        assert search.path[0].tolist() == reference_refine(nbrs, [0] * g.vertex_count)
+        for level, b in enumerate(search.base):
+            # individualize the first vertices of the base cell, as the search does
+            colors = search.path[level]
+            for v in [v for v, c in enumerate(colors.tolist()) if c == colors[b]][:4]:
+                start = search._individualize(colors, v)
+                assert search.refine(start).tolist() == reference_refine(nbrs, start.tolist())
+
+    def test_prefix_keys_rank_first(self):
+        search = automorphisms._AutSearch(PREFIX_GRAPH)
+        nbrs = reference_neighbours(PREFIX_GRAPH)
+        assert search.refine([0] * 6).tolist() == reference_refine(nbrs, [0] * 6)
+        # degree 1 < degree 2 < degree 3 before anything else splits them
+        assert search.path[0].tolist() == [3, 2, 2, 1, 0, 0]
+
+
 class TestGraphAutOrder:
     def test_known_graphs(self):
         assert graph_aut_order(cycle_graph(6))[0] == 12
@@ -95,6 +200,20 @@ class TestGraphAutOrder:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             graph_aut_order(cycle_graph(10), budget=5)
+
+    @pytest.mark.parametrize(
+        "graph, order",
+        [
+            (SimpleGraph(0, []), 1),
+            (SimpleGraph(1, []), 1),
+            (SimpleGraph(3, []), 6),
+            (SimpleGraph(4, [(0, 1)]), 4),
+            (PREFIX_GRAPH, 2),
+        ],
+        ids=["empty0", "edgeless1", "edgeless3", "edge-plus-isolated", "prefix-keys"],
+    )
+    def test_edge_cases(self, graph, order):
+        assert graph_aut_order(graph)[0] == order == brute_aut_order(graph)
 
     @pytest.mark.parametrize(
         "graph, generators",
@@ -254,6 +373,19 @@ class TestOrderIdentity:
         assert "identity_holds=yes" in text
         csv = report.to_csv()
         assert csv.splitlines()[1].split(",")[3] == "240"
+
+
+@pytest.mark.slow
+def test_seven_point_graphs_at_full_scale():
+    """Both 5040-vertex graphs within the order-identity budget: the path's
+    order is 7! * 2 (Feng), the cycle pair's 7! * 8."""
+    path = build_cayley(tree_set(7, [(i, i + 1) for i in range(1, 7)]), cap=6000)
+    order, gens = graph_aut_order(path, budget=6000)
+    assert (order, len(gens)) == (10080, 4)
+    pair = make_set(["(1 2 3 4)", "(4 5 6 7)"], 7, [4])
+    order, gens = graph_aut_order(build_cayley(pair, cap=6000), budget=6000)
+    assert (order, len(gens)) == (40320, 5)
+    assert "identity_holds=yes" in verify_order_identity(pair, 7, budget=6000).to_text()
 
 
 @pytest.mark.slow

@@ -324,6 +324,18 @@ class TestCosetPartition:
         with pytest.raises(ValueError):
             coset_partition(self.s3, [])
 
+    def test_node_budget(self, monkeypatch):
+        # the three cosets of <(1 2)> take four nodes: the root and one per translate
+        T = [Permutation.identity(3), Permutation.from_text("(1 2)", 3)]
+        monkeypatch.setattr(quasiham, "_COSET_NODE_BUDGET", 4)
+        assert len(coset_partition(self.s3, T)) == 3
+        monkeypatch.setattr(quasiham, "_COSET_NODE_BUDGET", 3)
+        with pytest.raises(BudgetExceeded, match="exceeded 3 nodes"):
+            coset_partition(self.s3, T)
+        # the divisibility shortcut answers without entering the search
+        monkeypatch.setattr(quasiham, "_COSET_NODE_BUDGET", 0)
+        assert coset_partition(self.s3, self.s3[:4]) is None
+
 
 def test_full_equivalence_over_random_connected_corpus():
     rng = random.Random(2024)
