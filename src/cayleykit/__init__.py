@@ -48,15 +48,6 @@ from .cayley import (
     same_element_criterion,
     walk_in_graph,
 )
-from .automorphisms import (
-    AutReport,
-    GraphAutomorphism,
-    aut_snt,
-    graph_aut_order,
-    right_representation,
-    translate_automorphism,
-    verify_order_identity,
-)
 from .quasiham import (
     CycleFactor,
     FlowNetwork,
@@ -75,6 +66,15 @@ from .spectral import (
     jacobi_eigensystem,
     second_eigenvalue_comparison,
     spectrum_topk,
+)
+from .automorphisms import (
+    AutReport,
+    GraphAutomorphism,
+    aut_snt,
+    graph_aut_order,
+    right_representation,
+    translate_automorphism,
+    verify_order_identity,
 )
 from . import errors, numth
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded
+from .graphs import connected_components
 from .perms import Permutation, compose_maps, invert_map
 
 _PUMP_SEED = 0x5EED
@@ -250,27 +251,12 @@ class OrbitPartition:
 
 def orbits(gens: Sequence[Permutation], n: int) -> OrbitPartition:
     """Connected components of the action of ``gens`` on 1..n (singletons allowed)."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for g in gens:
         if g.degree != n:
             raise ValueError(f"generator degree {g.degree} != {n}")
-        for i, x in enumerate(g._map):
-            ri, rx = find(i), find(x)
-            if ri != rx:
-                parent[max(ri, rx)] = min(ri, rx)
-
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i + 1)
-    blocks = tuple(tuple(b) for b in sorted(groups.values()))
-    return OrbitPartition(blocks)
+    arcs = [(i, x) for g in gens for i, x in enumerate(g._map)]
+    blocks = connected_components(n, arcs)
+    return OrbitPartition(tuple(tuple(v + 1 for v in block) for block in blocks))
 
 
 def generates(gens: Sequence[Permutation], n: int,

@@ -11,7 +11,11 @@ reverses and an unlimited t->s return); a forced arc has zero residual both
 ways.  Augmentations are applied in mirror pairs (swap the two sides and
 reverse the path), which keeps flow(x_i->y_j) equal to flow(x_j->y_i) at
 every step; this symmetry is what rules out doubled-edge components, and it
-is asserted after every augmentation.
+is asserted after every augmentation.  Forcing and augmentation share one
+path search: the shortest residual path, applied with its mirror when the
+mirror still has capacity, else one exhaustive search for a path that
+cannot collide with its own mirror (a "regular" path in Goldberg and
+Karzanov's skew-symmetric flow theory), which settles the question.
 
 Flow computation is single-threaded per instance; instances are independent
 and the brute-force oracles deterministic.
@@ -92,6 +96,8 @@ class FlowNetwork:
     can cancel it.  ``mirror`` swaps the sides (x_i <-> y_i, s <-> t), and
     the mirror of arc a->b is mirror[b]->mirror[a].  Every change journals
     the arc pair's two old residuals so speculative forcing can roll back.
+    ``force_edge_pair`` and ``augment_pair`` both push flow through
+    ``_augment``, the one mirror-pair path search.
     """
 
     def __init__(self, graph: SimpleGraph):
@@ -156,8 +162,7 @@ class FlowNetwork:
         limit = self.t + 1 if terminals else self.s
         return [nb for nb, r in self.res[node].items() if r and nb < limit]
 
-    def _bfs(self, source: int, targets, banned_arcs: frozenset = frozenset(),
-             terminals: bool = False):
+    def _bfs(self, source: int, targets, terminals: bool):
         """Shortest residual path from ``source`` to any node in ``targets``."""
         if source in targets:
             return [source]
@@ -167,7 +172,7 @@ class FlowNetwork:
             nxt = []
             for node in frontier:
                 for nb in self._residual_from(node, terminals):
-                    if nb in parent or (node, nb) in banned_arcs:
+                    if nb in parent:
                         continue
                     parent[nb] = node
                     if nb in targets:
@@ -180,16 +185,6 @@ class FlowNetwork:
             frontier = nxt
         return None
 
-    def _blocked_arc(self, path: list):
-        """The first arc of ``path`` without residual capacity, or None."""
-        res = self.res
-        return next(((a, b) for a, b in zip(path, path[1:]) if not res[a][b]), None)
-
-    def mirror_path(self, path: list) -> list:
-        """Swap the two sides and reverse the orientation."""
-        mirror = self.mirror
-        return [mirror[node] for node in reversed(path)]
-
     # -- conflict-free search -------------------------------------------------
     #
     # A path whose mirror is applied alongside it loads an arc and its
@@ -197,8 +192,7 @@ class FlowNetwork:
     # both.  So the pair may be crossed min(res[arc], res[mirror arc]) times
     # in total; the self-mirrored t->s return is unlimited.
 
-    def _conflict_free_path(self, source: int, targets, terminals: bool,
-                            banned_arcs: frozenset = frozenset()):
+    def _conflict_free_path(self, source: int, targets, terminals: bool):
         """Exhaustive DFS for a simple residual path whose mirror is jointly
         feasible with it; None when no such path exists.  Deterministic.
 
@@ -219,7 +213,7 @@ class FlowNetwork:
                     f"conflict-free path search exceeded {_CONFLICT_FREE_NODE_BUDGET} nodes"
                 )
             for nb in self._residual_from(node, terminals):
-                if nb in on_path or (node, nb) in banned_arcs:
+                if nb in on_path:
                     continue
                 twin = (mirror[nb], mirror[node])
                 pair = min((node, nb), twin)
@@ -254,125 +248,74 @@ class FlowNetwork:
                 if r != res[mirror[b]][mirror[a]]:
                     raise AssertionError(f"mirror invariant broken at arc ({a},{b})")
 
-    # -- forcing and augmentation ---------------------------------------------
+    # -- the one path search --------------------------------------------------
 
-    def force_edge_pair(self, i: int, j: int) -> bool:
-        """Force flow through both arcs of the undirected edge {i, j},
-        mirror-pairing the repair paths; False (with rollback) if impossible.
-
-        One repair path is searched for the first arc (it may route through
-        t and s, raising the total flow); the second arc is repaired by the
-        mirror of that path.  When the mirror collides with an arc the first
-        path already consumed, the offending arc is banned and the search
-        retried, so the invariant flow(x_a->y_b) == flow(x_b->y_a) survives
-        every forcing step.
-        """
-        x_i, y_j, x_j, y_i = i, self.m + j, j, self.m + i
-        if self._saturated(i, j):
-            self._force(x_i, y_j)
-            self._force(x_j, y_i)
-            return True
+    def _apply_pair(self, path: list) -> bool:
+        """Apply ``path`` and then its mirror (sides swapped, orientation
+        reversed); False, with rollback, when the mirror lacks capacity."""
         mark = self.checkpoint()
-        # The partner arc belongs to this forcing step; the repair path must
-        # not consume it.
-        base_banned = frozenset({(x_j, y_i)})
-        self._force(x_i, y_j)
-        inner = self.checkpoint()
-
-        def attempt(path):
-            """(success, first infeasible mirror arc); rolls back on failure."""
-            self._apply_path(path)
-            self._force(x_j, y_i)
-            mirrored = self.mirror_path(path)
-            conflict = self._blocked_arc(mirrored)
-            if conflict is None:
-                self._apply_path(mirrored)
-                self.assert_mirror()
-                return True, None
-            self.rollback(inner)
-            return False, conflict
-
-        banned = base_banned
-        path = self._bfs(y_j, {x_i}, banned, terminals=True)
-        if path is None:
-            # plainly unreachable, so no conflict-free repair exists either
-            self.rollback(mark)
-            return False
-        for _ in range(8):
-            ok, conflict = attempt(path)
-            if ok:
-                return True
-            banned = banned | {(self.mirror[conflict[1]], self.mirror[conflict[0]])}
-            path = self._bfs(y_j, {x_i}, banned, terminals=True)
-            if path is None:
-                break
-        # exhaustive fallback: a repair whose mirror cannot collide with it
-        path = self._conflict_free_path(y_j, {x_i}, terminals=True,
-                                        banned_arcs=base_banned)
-        if path is not None and attempt(path)[0]:
-            return True
-        self.rollback(mark)
-        return False
-
-    def _try_mirror_pair(self, full: list) -> bool:
-        """Apply an s-t path and its mirror atomically; rolls back on collision."""
-        mark = self.checkpoint()
-        self._apply_path(full)
-        mirrored = self.mirror_path(full)
-        if self._blocked_arc(mirrored) is None:
+        self._apply_path(path)
+        res, mirror = self.res, self.mirror
+        mirrored = [mirror[node] for node in reversed(path)]
+        if all(res[a][b] for a, b in zip(mirrored, mirrored[1:])):
             self._apply_path(mirrored)
             self.assert_mirror()
             return True
         self.rollback(mark)
         return False
 
-    def _start_targets(self, a: int):
-        res, m = self.res, self.m
-        allow_self = not res[a][self.s]  # x_a carries no flow yet
-        return {
-            m + b
-            for b in range(m)
-            if res[m + b][self.t] and (b != a or allow_self)
-        }
+    def _augment(self, source: int, targets, terminals: bool,
+                 head: tuple = (), tail: tuple = ()) -> bool:
+        """Push one unit from ``source`` to ``targets`` together with its mirror.
+
+        The shortest residual path goes first; when its mirror no longer
+        has capacity, the exhaustive conflict-free search runs once and
+        settles the question.  A source with no residual path at all cannot
+        have a conflict-free one.  ``head`` and ``tail`` wrap the path (s
+        and t for an augmentation).
+        """
+        path = self._bfs(source, targets, terminals)
+        if path is None:
+            return False
+        if self._apply_pair([*head, *path, *tail]):
+            return True
+        path = self._conflict_free_path(source, targets, terminals)
+        return path is not None and self._apply_pair([*head, *path, *tail])
+
+    def force_edge_pair(self, i: int, j: int) -> bool:
+        """Force flow through both arcs of the undirected edge {i, j},
+        mirror-pairing the repair paths; False (with rollback) if impossible.
+
+        Both arcs are locked first; then one repair path from y_j back to
+        x_i (it may route through t and s, raising the total flow) restores
+        the balance of the first arc, and its mirror that of the second.
+        While the edge is not saturated neither arc carries flow (mirror
+        invariant), so locking the partner arc x_j->y_i only keeps the
+        repair and its mirror off it.
+        """
+        x_i, y_j, x_j, y_i = i, self.m + j, j, self.m + i
+        saturated = self._saturated(i, j)
+        mark = self.checkpoint()
+        self._force(x_i, y_j)
+        self._force(x_j, y_i)
+        if saturated or self._augment(y_j, {x_i}, terminals=True):
+            return True
+        self.rollback(mark)
+        return False
 
     def augment_pair(self) -> bool:
         """One symmetric augmentation (value +2); False when none was found.
 
-        Shortest mirror-pairable paths are tried first; only when every BFS
-        path collides with its own mirror does the exhaustive conflict-free
-        search run, settling the question exactly (a start with no plain
-        path at all cannot have a conflict-free one).
+        Each x_a that s still feeds, in order, searches for a y that still
+        drains into t (y_a itself only while x_a carries no flow).
         """
-        s, t, mirror = self.s, self.t, self.mirror
-        reachable_starts = []
-        for a in range(self.m):
-            if not self.res[s][a]:
+        s, t, m, res = self.s, self.t, self.m, self.res
+        for a in range(m):
+            if not res[s][a]:
                 continue
-            targets = self._start_targets(a)
-            if not targets:
-                continue
-            banned: frozenset = frozenset()
-            found_any = False
-            for _ in range(3):
-                path = self._bfs(a, targets, banned)
-                if path is None:
-                    break
-                found_any = True
-                if self._try_mirror_pair([s, *path, t]):
-                    return True
-                arcs = list(zip(path, path[1:]))
-                collision = next(
-                    (arc for arc in arcs if (mirror[arc[1]], mirror[arc[0]]) in arcs),
-                    None,
-                )
-                if collision is None:
-                    break
-                banned = banned | {collision}
-            if found_any:
-                reachable_starts.append(a)
-        for a in reachable_starts:
-            path = self._conflict_free_path(a, self._start_targets(a), terminals=False)
-            if path is not None and self._try_mirror_pair([s, *path, t]):
+            allow_self = not res[a][s]  # x_a carries no flow yet
+            targets = {m + b for b in range(m) if res[m + b][t] and (b != a or allow_self)}
+            if targets and self._augment(a, targets, False, (s,), (t,)):
                 return True
         return False
 
@@ -397,6 +340,26 @@ class FlowNetwork:
         return ok
 
 
+def _check_forced(graph: SimpleGraph, R: frozenset) -> None:
+    edge_set = set(graph.edges)
+    for e in sorted(R):
+        if e not in edge_set:
+            raise ValueError(f"forced edge {e} is not an edge of the graph")
+
+
+def _forced_flow(graph: SimpleGraph, R: frozenset) -> Optional[FlowNetwork]:
+    """A network carrying a symmetric flow of value 2m with every edge of the
+    normalized set ``R`` forced (in sorted order), or None when no cycle
+    factor contains ``R``.  Raises ValueError for a member of ``R`` that is
+    not an edge of ``graph``.
+    """
+    _check_forced(graph, R)
+    net = FlowNetwork(graph)
+    if all(net.force_edge_pair(i, j) for i, j in sorted(R)) and net.run_to_max() == 2 * net.m:
+        return net
+    return None
+
+
 def cycle_factor_forced(graph: SimpleGraph, forced: Iterable[tuple]) -> Optional[CycleFactor]:
     """A cycle factor containing every edge of ``forced``, or None.
 
@@ -405,17 +368,8 @@ def cycle_factor_forced(graph: SimpleGraph, forced: Iterable[tuple]) -> Optional
     symmetric arcs are the factor.
     """
     R = _normalize_edges(forced)
-    edge_set = set(graph.edges)
-    for e in R:
-        if e not in edge_set:
-            raise ValueError(f"forced edge {e} is not an edge of the graph")
-    if graph.vertex_count == 0:
-        return CycleFactor(frozenset())
-    net = FlowNetwork(graph)
-    for i, j in sorted(R):
-        if not net.force_edge_pair(i, j):
-            return None
-    if net.run_to_max() != 2 * net.m:
+    net = _forced_flow(graph, R)
+    if net is None:
         return None
     factor = net.saturated_edges()
     if not R <= factor:
@@ -433,10 +387,7 @@ def brute_cycle_factor(graph: SimpleGraph, forced: Iterable[tuple]) -> Optional[
     if graph.vertex_count > _BRUTE_VERTEX_GUARD:
         raise ValueError(f"oracle guarded to {_BRUTE_VERTEX_GUARD} vertices")
     R = _normalize_edges(forced)
-    edge_set = set(graph.edges)
-    for e in R:
-        if e not in edge_set:
-            raise ValueError(f"forced edge {e} is not an edge of the graph")
+    _check_forced(graph, R)
     n = graph.vertex_count
     adj = graph.adjacency
     chosen: set = set()
@@ -549,16 +500,10 @@ class QuasiHamiltonian:
     def qh1(self, R: frozenset) -> frozenset:
         if R in self._qh1_cache:
             return self._qh1_cache[R]
-        net = FlowNetwork(self.graph)
-        result: frozenset
-        if all(net.force_edge_pair(i, j) for i, j in sorted(R)) and net.run_to_max() == 2 * net.m:
-            members = []
-            for i, j in self.graph.edges:
-                if (i, j) in R or net.edge_usable(i, j):
-                    members.append((i, j))
-            result = frozenset(members)
-        else:
-            result = frozenset()
+        net = _forced_flow(self.graph, R)
+        result = frozenset() if net is None else frozenset(
+            e for e in self.graph.edges if e in R or net.edge_usable(*e)
+        )
         self._qh1_cache[R] = result
         return result
 

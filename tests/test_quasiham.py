@@ -57,6 +57,15 @@ class TestCycleFactorForced:
         with pytest.raises(ValueError):
             cycle_factor_forced(cycle_graph(4), [(0, 2)])
 
+    @pytest.mark.parametrize("edge", [(0, 3), (0, 9), (2, 2)],
+                             ids=["non-edge", "out-of-range", "loop"])
+    def test_forced_non_edge_is_named(self, edge):
+        message = rf"forced edge \({edge[0]}, {edge[1]}\) is not an edge"
+        with pytest.raises(ValueError, match=message):
+            QuasiHamiltonian(cycle_graph(6)).qh_set([edge], 1)
+        with pytest.raises(ValueError, match=message):
+            cycle_factor_forced(cycle_graph(6), [edge])
+
     def test_agreement_with_oracle_on_random_instances(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -225,17 +234,40 @@ FALLBACK_GRAPH = SimpleGraph(8, [
 ])
 
 
+# Augmenting to the maximum flow here (in cycle_factor_forced or qh1) meets a
+# shortest path whose mirror is blocked, and the exhaustive search finds one.
+AUGMENT_FALLBACK_GRAPH = SimpleGraph(9, [
+    (0, 2), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 5), (1, 6), (1, 7), (2, 5),
+    (2, 7), (3, 4), (3, 6), (3, 7), (3, 8), (4, 5), (4, 7), (5, 7), (6, 7), (7, 8),
+])
+
+
 class TestConflictFreeBudget:
-    def _fallback_calls(self, monkeypatch):
+    def _fallback_calls(self, monkeypatch, found=None):
         calls = []
         search = FlowNetwork._conflict_free_path
 
-        def recorded(self, source, targets, terminals, banned_arcs=frozenset()):
+        def recorded(self, source, targets, terminals):
             calls.append(terminals)
-            return search(self, source, targets, terminals, banned_arcs)
+            path = search(self, source, targets, terminals)
+            if found is not None:
+                found.append((terminals, path is not None))
+            return path
 
         monkeypatch.setattr(FlowNetwork, "_conflict_free_path", recorded)
         return calls
+
+    def test_augmentation_reaches_the_fallback(self, monkeypatch):
+        found = []
+        self._fallback_calls(monkeypatch, found)
+        g = AUGMENT_FALLBACK_GRAPH
+        factor = cycle_factor_forced(g, [])
+        assert (False, True) in found  # an augmentation path came from the exhaustive search
+        assert factor is not None and brute_cycle_factor(g, []) is not None
+        found.clear()
+        expected = frozenset(e for e in g.edges if brute_cycle_factor(g, [e]) is not None)
+        assert QuasiHamiltonian(g).qh1(frozenset()) == expected
+        assert (False, True) in found
 
     def test_forcing_reaches_the_fallback_within_budget(self, monkeypatch):
         calls = self._fallback_calls(monkeypatch)
