@@ -6,6 +6,10 @@ module provides the size lower bound, the structural predicates
 pairs and chains, Eulerian-circuit sets of transposition products, the
 general prime-driven construction), the divisor splitting step, extension to
 larger degrees, and a brute-force minimal-size oracle for tiny cases.
+"Balanced" is decided by its matching characterization (see
+``find_balance_certificate``): for each cycle length, every cycle meets
+another and there are as many disjoint meeting pairs as the length's
+multiplicity.
 
 All constructions are pure and deterministic; outputs are canonical so they
 can be serialized byte-stably.
@@ -16,10 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import groups
-from .errors import NoCircuit, ParityError
+from .errors import BudgetExceeded, NoCircuit, ParityError
 from .numth import cyclotomic_eval, smallest_prime_one_mod
 from .perms import CycleType, Permutation, in_extended_class
 
@@ -113,111 +117,84 @@ class BalanceCertificate:
     sizes: tuple
 
 
-def _all_cycles(T: GeneratorSet) -> list:
-    out = []
-    for idx, g in enumerate(T.elements):
-        for cycle in g.cycles():
-            out.append((idx, cycle))
-    return out
-
-
-_BALANCE_CYCLE_LIMIT = 32
+# Nodes the disjoint-pair search may enter for one cycle length.
+_BALANCE_NODE_BUDGET = 100_000
 
 
 def find_balance_certificate(T: GeneratorSet) -> Optional[BalanceCertificate]:
-    """Exact backtracking search for a balance certificate; None if none exists.
+    """A balance certificate for T, or None when none exists.
 
-    Inputs are expected to be small (at most ~32 cycles in total); larger
-    sets raise rather than silently run forever.
+    Take a length L with multiplicity k in the type.  The cycles of length L
+    split into k classes in which no cycle is alone exactly when (a) every
+    such cycle meets (shares a point with) another one and (b) k pairwise
+    disjoint pairs of meeting cycles exist.  Necessity: each class holds a
+    cycle and a partner it meets, one pair per class.  Sufficiency: the k
+    pairs seed the classes; a cycle joins the class of a cycle it meets, in
+    breadth-first order from the seeds; the cycles no seed reaches form
+    whole components of the meeting graph, each with two or more cycles by
+    (a), so they are a valid class by themselves and join class 0 together
+    (a union of valid classes is valid).
+
+    Condition (b) is decided by an exhaustive search: take the first free
+    cycle, then pair it with a later free cycle it meets or leave it out.
+    Raises BudgetExceeded once one length's search has entered more than
+    ``_BALANCE_NODE_BUDGET`` nodes (a node picks one pair).
     """
-    cycles = _all_cycles(T)
-    if len(cycles) > _BALANCE_CYCLE_LIMIT:
-        raise ValueError(
-            f"balance search limited to {_BALANCE_CYCLE_LIMIT} cycles, got {len(cycles)}"
-        )
-    # Classes per length are as many as the length's multiplicity in the type.
-    multiplicity: dict = {}
-    for part in T.cycle_type.parts:
-        multiplicity[part] = multiplicity.get(part, 0) + 1
-
-    assignment_by_length = {}
-    for length in sorted(multiplicity):
-        members = [i for i, (_, c) in enumerate(cycles) if len(c) == length]
-        labels = _partition_with_neighbors(members, multiplicity[length], cycles)
-        if labels is None:
-            return None
-        assignment_by_length[length] = labels
-
+    parts = T.cycle_type.parts
+    cycles = [(idx, cycle) for idx, g in enumerate(T.elements) for cycle in g.cycles()]
     classes = []
     sizes = []
-    for length in sorted(multiplicity, reverse=True):
-        labels = assignment_by_length[length]
-        for group in labels:
-            classes.append(tuple(cycles[i] for i in group))
+    for length in sorted(set(parts), reverse=True):
+        k = parts.count(length)
+        members = [c for c in cycles if len(c[1]) == length]
+        supports = [frozenset(cycle) for _, cycle in members]
+        neighbors = [
+            [j for j, other in enumerate(supports) if j != i and own & other]
+            for i, own in enumerate(supports)
+        ]
+        if not all(neighbors):
+            return None
+        pairs = _disjoint_meeting_pairs(neighbors, k)
+        if pairs is None:
+            return None
+        label = {i: lab for lab, pair in enumerate(pairs) for i in pair}
+        queue = list(label)
+        for i in queue:
+            for j in neighbors[i]:
+                if j not in label:
+                    label[j] = label[i]
+                    queue.append(j)
+        for lab in range(k):
+            classes.append(tuple(c for i, c in enumerate(members) if label.get(i, 0) == lab))
             sizes.append(length)
     return BalanceCertificate(tuple(classes), tuple(sizes))
 
 
-def _partition_with_neighbors(members: list, k: int, cycles: list):
-    """Partition ``members`` into exactly k nonempty groups such that every
-    cycle shares a support point with another cycle of its own group."""
-    if len(members) < 2 * k:
+def _disjoint_meeting_pairs(neighbors: list, k: int) -> Optional[list]:
+    """k pairwise disjoint pairs (i, j) with j in neighbors[i], or None.
+
+    Each node picks one pair, so the recursion is at most k + 1 deep; the
+    cycles a node leaves out are skipped in its loop.
+    """
+    nodes = 0
+
+    def search(free: list, need: int) -> Optional[list]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > _BALANCE_NODE_BUDGET:
+            raise BudgetExceeded(f"balance search exceeded {_BALANCE_NODE_BUDGET} nodes")
+        if need == 0:
+            return []
+        for pos in range(len(free) - 2 * need + 1):
+            first, rest = free[pos], free[pos + 1:]
+            for j in neighbors[first]:
+                if j in rest:
+                    found = search([x for x in rest if x != j], need - 1)
+                    if found is not None:
+                        return [(first, j), *found]
         return None
-    supports = {i: frozenset(cycles[i][1]) for i in members}
-    neighbors = {
-        i: [j for j in members if j != i and supports[i] & supports[j]]
-        for i in members
-    }
-    if any(not nb for nb in neighbors.values()):
-        return None
 
-    # Order members along the overlap structure so pruning bites early.
-    order = []
-    seen = set()
-    for start in members:
-        if start in seen:
-            continue
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            order.append(v)
-            stack.extend(j for j in reversed(neighbors[v]) if j not in seen)
-    position = {v: i for i, v in enumerate(order)}
-    label: dict = {}
-
-    def satisfied(v) -> bool:
-        return any(label.get(j) == label[v] for j in neighbors[v])
-
-    def dead(v) -> bool:
-        # v is stuck if all its neighbors are labeled differently.
-        return all(j in label and label[j] != label[v] for j in neighbors[v])
-
-    def backtrack(pos: int, used: int) -> bool:
-        if pos == len(order):
-            return used == k and all(satisfied(v) for v in order)
-        v = order[pos]
-        remaining = len(order) - pos
-        for lab in range(min(used + 1, k)):
-            label[v] = lab
-            new_used = max(used, lab + 1)
-            # Enough members must remain to open and fill the unused groups.
-            if remaining - 1 >= 2 * (k - new_used) and not dead(v):
-                prev = order[pos - 1] if pos else None
-                if prev is None or not dead(prev) or satisfied(prev):
-                    if backtrack(pos + 1, new_used):
-                        return True
-            del label[v]
-        return False
-
-    if not backtrack(0, 0):
-        return None
-    groups_out: list = [[] for _ in range(k)]
-    for v in order:
-        groups_out[label[v]].append(v)
-    return [sorted(g) for g in groups_out]
+    return search(list(range(len(neighbors))), k)
 
 
 def predicates(T: GeneratorSet, include_balance: bool = True) -> dict:
@@ -250,17 +227,11 @@ def is_connected_set(T: GeneratorSet) -> bool:
     """Transposition-membership connectivity: (v1 v2) in <T> for all points.
 
     This is the strong reading of connectivity and is equivalent to <T>
-    containing the full symmetric group on 1..n; the orbit-based predicate is
+    containing the full symmetric group on 1..n, so it is decided by the
+    order |<T>| = n!; the orbit-based predicate is
     ``predicates(T)['semi_connected']``.  The two are deliberately separate.
     """
-    chain = groups.build_chain(T.elements, T.degree)
-    n = T.degree
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            t = Permutation.from_cycles([(a, b)], n)
-            if not chain.contains(t):
-                return False
-    return True
+    return groups.build_chain(T.elements, T.degree).order() == math.factorial(T.degree)
 
 
 # -- explicit constructions ------------------------------------------------
@@ -268,12 +239,7 @@ def is_connected_set(T: GeneratorSet) -> bool:
 
 def construct_cycle_pair(k: int) -> GeneratorSet:
     """{(1 2 .. k), (k k+1 .. 2k-1)} on 2k-1 points; k must be even."""
-    if k < 2 or k % 2 != 0:
-        raise ParityError(f"cycle pairs need even k >= 2, got {k}")
-    n = 2 * k - 1
-    first = Permutation.from_cycles([tuple(range(1, k + 1))], n)
-    second = Permutation.from_cycles([tuple(range(k, 2 * k))], n)
-    return GeneratorSet(n, [first, second], CycleType([k]))
+    return construct_cycle_tree(k, 2 * k - 1)
 
 
 def construct_cycle_tree(k: int, n: int) -> GeneratorSet:
@@ -441,10 +407,7 @@ def construct_general(cycle_type: CycleType) -> GeneratorSet:
         Permutation.from_cycles([tuple(c) for c in cycles_per_gen[v]], n)
         for v in range(1, p + 1)
     ]
-    wide = GeneratorSet(n, wide_elements, cycle_type.repeated(m))
-    if m == 1:
-        return GeneratorSet(n, wide.elements, cycle_type)
-    return split_divisor(wide, cycle_type, m)
+    return split_divisor(GeneratorSet(n, wide_elements, cycle_type.repeated(m)), cycle_type, m)
 
 
 def split_divisor(T: GeneratorSet, cycle_type: CycleType, m: int) -> GeneratorSet:
@@ -491,11 +454,13 @@ def extend_tree(T: GeneratorSet, cycle_type: CycleType, n_target: int) -> Genera
     """Append elements of C(A) so a set generating S_m generates S_{n_target}.
 
     Each appended element anchors every cycle on one already-covered point
-    (each anchor on a different existing element, keeping the set split) and
-    fills the rest with fresh points, adding exactly c(A) new points.  When
-    c(A) does not divide the shortfall, the final element overlaps the
-    covered points more deeply.  With |T| = f_lower_bound(A, m) the result
-    has exactly f_lower_bound(A, n_target) elements.
+    and fills the rest with fresh points, adding exactly c(A) new points.
+    When c(A) does not divide the shortfall, the final element overlaps the
+    covered points more deeply.  Anchors go on distinct existing elements
+    where ``_pick_anchors`` can manage it; where it cannot, the set is no
+    longer split (the type (2,2,2) at n = 23 is one such case).  With
+    |T| = f_lower_bound(A, m) the result has exactly
+    f_lower_bound(A, n_target) elements.
     """
     c = cycle_type.c_value
     if c % 2 == 0:
@@ -540,8 +505,11 @@ def _fresh_distribution(parts_asc: list, fresh: int) -> list:
 
 def _pick_anchors(elements: list, needed: list) -> list:
     """Choose covered anchor points for each new cycle: scan down from the
-    frontier, preferring points whose host elements are not yet used, so any
-    two elements of the grown set keep at most one common support point."""
+    frontier, using each host element at most once, so the new element
+    shares at most one point with any existing one.  When that fails, the
+    allowance rises to two uses per host, then to no limit; those anchors
+    can give the new element two common points with an old one, and the set
+    is then not split."""
     hosts: dict = {}
     for idx, g in enumerate(elements):
         for point in g.support():

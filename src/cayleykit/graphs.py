@@ -55,20 +55,8 @@ class SimpleGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in self.adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        return len(connected_components(self.vertex_count, self.edges)) <= 1
 
     def __eq__(self, other) -> bool:
         return (

@@ -273,7 +273,6 @@ def check_regular_spectrum(graph, tol: float = 1e-8, seed: int = 0) -> dict:
         "degree": degree,
         "lambda1": lambda1,
         "lambda2": lambda2,
-        "method": report.method,
         "report": report,
     }
 
@@ -295,5 +294,4 @@ def second_eigenvalue_comparison(graph, cycle_length: int, tol: float = 1e-8,
         "lambda2": lambda2,
         "candidate": candidate,
         "gap": abs(lambda2 - candidate),
-        "method": report.method,
     }

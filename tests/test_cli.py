@@ -115,6 +115,25 @@ class TestVerify:
         assert f"order={math.factorial(56)}\n" in stdout
         assert "generates=symmetric\n" in stdout
 
+    def test_balance_past_32_cycles(self, capsys, tmp_path):
+        gens = tmp_path / "b3_40.gens"
+        run_cli(["construct", "--type", "2,2,2", "--n", "40", "--out", str(gens)], capsys)
+        assert sum(text.count("(") for text in gens.read_text().splitlines()[1:]) == 39
+        code, stdout, _ = run_cli(["verify", str(gens), "--balance"], capsys)
+        assert code == 0
+        assert "balanced=yes\nbalance_class_sizes=2,2,2\n" in stdout
+
+    def test_balance_budget_exceeded_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        from cayleykit import gensets
+
+        gens = tmp_path / "b3.gens"
+        run_cli(["construct", "--type", "2,2,2", "--n", "22", "--out", str(gens)], capsys)
+        monkeypatch.setattr(gensets, "_BALANCE_NODE_BUDGET", 1)
+        code, _, stderr = run_cli(["verify", str(gens), "--balance"], capsys)
+        assert code == 1
+        assert stderr.startswith("error: ") and "balance search exceeded 1 nodes" in stderr
+        assert "Traceback" not in stderr
+
     def test_missing_file(self, capsys):
         assert run_cli(["verify", "/nonexistent/x.gens"], capsys)[0] == 1
 

@@ -1,10 +1,12 @@
+import itertools
 import math
 import random
 import warnings
 
 import pytest
 
-from cayleykit.errors import NoCircuit, ParityError
+from cayleykit import gensets
+from cayleykit.errors import BudgetExceeded, NoCircuit, ParityError
 from cayleykit.gensets import (
     GeneratorSet,
     brute_force_f,
@@ -16,6 +18,7 @@ from cayleykit.gensets import (
     extend_tree,
     extended_class_elements,
     f_lower_bound,
+    find_balance_certificate,
     general_plan,
     is_connected_set,
     predicates,
@@ -109,6 +112,105 @@ class TestPredicates:
         even_only = make_set(["(1 2)(3 4)", "(1 3)(2 4)"], 4, [2, 2])
         assert orbits(even_only.elements, 4).is_single
         assert not is_connected_set(even_only)
+
+
+def _meets(x, y):
+    return bool(set(x[1]) & set(y[1]))
+
+
+def partition_oracle(T):
+    """Balanced by definition: for every length L of multiplicity k, some
+    partition of the L-cycles into exactly k classes leaves no cycle alone
+    in its class.  Enumerates every set partition (restricted growth)."""
+    cycles = [(i, c) for i, g in enumerate(T.elements) for c in g.cycles()]
+    for length in set(T.cycle_type.parts):
+        k = T.cycle_type.parts.count(length)
+        members = [x for x in cycles if len(x[1]) == length]
+
+        def fits(labels):
+            return len(set(labels)) == k and all(
+                any(labels[j] == labels[i] and _meets(members[i], members[j])
+                    for j in range(len(members)) if j != i)
+                for i in range(len(members))
+            )
+
+        def grow(labels):
+            if len(labels) == len(members):
+                return fits(labels)
+            return any(grow(labels + [lab]) for lab in range(min(max(labels, default=-1) + 2, k)))
+
+        if not grow([]):
+            return False
+    return True
+
+
+def assert_valid_certificate(T, certificate):
+    cycles = sorted((i, c) for i, g in enumerate(T.elements) for c in g.cycles())
+    assert sorted(x for cls in certificate.classes for x in cls) == cycles
+    assert sorted(certificate.sizes) == sorted(T.cycle_type.parts)
+    for cls, size in zip(certificate.classes, certificate.sizes):
+        assert cls and all(len(c) == size for _, c in cls)
+        assert all(any(y != x and _meets(x, y) for y in cls) for x in cls)
+
+
+def random_repeated_part_set(rng):
+    """1-4 random elements of a type with a repeated part, on a few spare points."""
+    parts = rng.choice([(2, 2), (3, 3), (2, 2, 2), (2, 2, 3), (3, 3, 2), (2, 2, 4), (4, 4)])
+    cycle_type = CycleType(parts)
+    n = sum(parts) + rng.randint(0, 4)
+    elements = []
+    for _ in range(rng.randint(1, 8 // max(parts.count(p) for p in parts))):
+        points = rng.sample(range(1, n + 1), sum(parts))
+        cuts = list(itertools.accumulate(parts, initial=0))
+        g = Permutation.from_cycles(
+            [tuple(points[a:b]) for a, b in zip(cuts, cuts[1:])], n
+        )
+        if g not in elements:
+            elements.append(g)
+    return GeneratorSet(n, elements, cycle_type)
+
+
+class TestBalanceCertificate:
+    def test_agrees_with_the_partition_oracle(self):
+        rng = random.Random(11_011)
+        verdicts = []
+        for _ in range(400):
+            T = random_repeated_part_set(rng)
+            certificate = find_balance_certificate(T)
+            assert (certificate is not None) == partition_oracle(T), T.to_text()
+            if certificate is not None:
+                assert_valid_certificate(T, certificate)
+            verdicts.append(certificate is not None)
+        assert 50 < sum(verdicts) < 350
+
+    def test_search_leaves_a_cycle_out(self):
+        # (1 2) pairs with (2 3) first; (3 4) then meets no free cycle and must
+        # be left out before (5 6) and (5 7) give the second pair
+        T = make_set(["(1 2)(3 4)", "(2 3)(5 6)", "(5 7)(6 8)"], 8, [2, 2])
+        assert partition_oracle(T)
+        certificate = find_balance_certificate(T)
+        assert certificate is not None
+        assert_valid_certificate(T, certificate)
+
+    @pytest.mark.parametrize("build", [
+        lambda: extend_tree(construct_basic_tree(3), CycleType([2, 2, 2]), 22),
+        lambda: extend_tree(construct_basic_tree(3), CycleType([2, 2, 2]), 40),
+        lambda: extend_tree(construct_cycle_pair(4), CycleType([4]), 79),
+        lambda: construct_general(CycleType([2, 4, 5])),
+        lambda: construct_general(CycleType([5, 2, 2, 2])),
+    ], ids=["222-n22", "222-n40", "4-n79", "245-n57", "5222-n239"])
+    def test_constructions_are_certified(self, build):
+        T = build()
+        certificate = find_balance_certificate(T)
+        assert certificate is not None
+        assert_valid_certificate(T, certificate)
+
+    def test_node_budget(self, monkeypatch):
+        T = construct_basic_tree(3)
+        assert find_balance_certificate(T) is not None
+        monkeypatch.setattr(gensets, "_BALANCE_NODE_BUDGET", 1)
+        with pytest.raises(BudgetExceeded):
+            find_balance_certificate(T)
 
 
 class TestCyclePair:

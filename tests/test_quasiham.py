@@ -132,6 +132,14 @@ class TestQHSets:
             QuasiHamiltonian(cycle_graph(4)).qh_set([], 0)
 
 
+def tietze_graph():
+    """Petersen with vertex 0 replaced by a triangle: 12 vertices, cubic, not
+    Hamiltonian.  QH_1 to QH_3 are spanning-connected and QH_4 is not, so the
+    hierarchy's reject rule at k > 1 decides it."""
+    kept = [(u - 1, v - 1) for u, v in petersen_graph().edges if u != 0]
+    return SimpleGraph(12, kept + [(9, 10), (10, 11), (9, 11), (0, 9), (3, 10), (4, 11)])
+
+
 class TestHamiltonicity:
     CORPUS = [
         ("C4", cycle_graph(4)),
@@ -145,6 +153,7 @@ class TestHamiltonicity:
         ("K33", complete_bipartite(3, 3)),
         ("K23", complete_bipartite(2, 3)),
         ("Petersen", petersen_graph()),
+        ("Tietze", tietze_graph()),
     ]
 
     @pytest.mark.parametrize("name,graph", CORPUS)
@@ -210,6 +219,10 @@ class TestConnectivityPredicate:
         # QH_3(G, {e}) and QH_4(G, {}) are not: the predicate's reject rule
         # runs here, which it never does on the small random graphs above.
         _assert_predicate_matches_full_sets(petersen_graph(), 4)
+
+    def test_tietze_levels(self):
+        rows = qh_report(tietze_graph(), 4)
+        assert [connected for _, _, connected in rows] == [True, True, True, False]
 
     def test_report_rows_keep_the_full_sets(self):
         g = petersen_graph()
