@@ -17,6 +17,13 @@ mirror still has capacity, else one exhaustive search for a path that
 cannot collide with its own mirror (a "regular" path in Goldberg and
 Karzanov's skew-symmetric flow theory), which settles the question.
 
+The quasi-hamiltonicity hierarchy (Gutin and Yeo, JCTB 2000, carried over
+to undirected graphs) is decided on these flows, witness first: every
+Hamiltonian cycle a flow produces is verified and kept, and any QH_k(G, R)
+whose R lies on a kept cycle is connected without further flows (the lemma
+is in the ``QuasiHamiltonian`` docstring).  The speculative forcings of one
+analyzer run under ``_QH_FORCING_BUDGET``.
+
 Flow computation is single-threaded per instance; instances are independent
 and the brute-force oracles deterministic.
 """
@@ -57,6 +64,14 @@ _CONFLICT_FREE_NODE_BUDGET = 100_000
 # 553 nodes; 100,000 nodes take about 5 s on S_5, where random subsets of
 # 4 or 5 elements already exceed it.
 _COSET_NODE_BUDGET = 100_000
+
+# Speculative forcings (one residual path search deciding one edge of QH_1)
+# that one QuasiHamiltonian analyzer may make.  A forcing, with its share of
+# the flows, costs about 0.2 ms on the 20-vertex flower snark J_5 and 0.4 ms
+# on the 120-vertex S_5 path Cayley graph (2-core host), so the budget stops
+# those two, which no witness decides, after about 11 and 21 s CPU.  The test
+# suite makes at most 6,162 forcings in one analyzer, a benchmark `qh` job 32.
+_QH_FORCING_BUDGET = 50_000
 
 
 def _normalize_edges(edges: Iterable[tuple]) -> frozenset:
@@ -328,16 +343,18 @@ class FlowNetwork:
     def saturated_edges(self) -> frozenset:
         return frozenset(e for e in self.graph.edges if self._saturated(*e))
 
-    def edge_usable(self, i: int, j: int) -> bool:
-        """Whether some symmetric maximum flow also saturates edge {i, j};
-        decided by speculatively forcing the pair and rolling back."""
+    def edge_usable(self, i: int, j: int) -> Optional[frozenset]:
+        """The saturated edges of a symmetric maximum flow that also
+        saturates edge {i, j}, or None when no such flow exists; decided by
+        speculatively forcing the pair and rolling back."""
         if self._saturated(i, j):
-            return True
+            return self.saturated_edges()
         mark = self.checkpoint()
         value_before = self.value()
         ok = self.force_edge_pair(i, j) and self.value() == value_before
+        factor = self.saturated_edges() if ok else None
         self.rollback(mark)
-        return ok
+        return factor
 
 
 def _check_forced(graph: SimpleGraph, R: frozenset) -> None:
@@ -462,6 +479,24 @@ def brute_hamiltonian(graph: SimpleGraph) -> bool:
 # -- the quasi-hamiltonicity hierarchy ----------------------------------------
 
 
+def _is_one_cycle(factor: frozenset, vertex_count: int) -> bool:
+    """Whether the cycle factor ``factor`` is one spanning cycle: one walk
+    from vertex 0 around its cycle, counting the vertices passed.  The
+    empty factor of the empty graph is no cycle."""
+    if not factor:
+        return False
+    neighbours: list = [[] for _ in range(vertex_count)]
+    for u, v in factor:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    previous, current, length = 0, neighbours[0][0], 1
+    while current != 0:
+        a, b = neighbours[current]
+        previous, current = current, b if a == previous else a
+        length += 1
+    return length == vertex_count
+
+
 class QuasiHamiltonian:
     """Memoized evaluation of the recursive edge sets QH_k(G, R).
 
@@ -470,6 +505,16 @@ class QuasiHamiltonian:
     QH_{k-1}(G, e u R) is connected.  "Connected" for an edge set means
     spanning and connected: the set touches every vertex and forms one
     component.
+
+    Witnesses.  If a Hamiltonian cycle C contains R, then C lies inside
+    QH_k(G, R) for every k >= 1, by induction on k: for each edge e of C,
+    C is a cycle factor through R u {e}, so e is in QH_1(G, R), and C lies
+    inside QH_{k-1}(G, R u {e}), which is therefore connected.  So
+    QH_k(G, R) is connected as soon as a known Hamiltonian cycle contains
+    R.  ``qh1`` keeps every factor its flows produce that is one spanning
+    cycle, verified edge by edge against the graph, in ``witnesses`` (one
+    set per analyzer, so duplicates collapse); ``qh_conn`` asks the
+    witnesses before computing QH_1(G, R) and again right after it.
 
     Two memos: ``_qh1_cache`` holds QH_1(G, R) by R, and ``_conn_memo``
     holds the predicate "QH_k(G, R) is connected" by (k, R) (``qh_conn``,
@@ -481,10 +526,16 @@ class QuasiHamiltonian:
     the accepted edges are connected and rejects as soon as the accepted
     plus the undecided edges are not.  Every level sits inside QH_1 of the
     same R, so a disconnected QH_1 answers every deeper level at once.
+
+    Budget.  Each speculative forcing in ``qh1`` (one residual path search
+    deciding one edge) counts against ``_QH_FORCING_BUDGET`` for the whole
+    analyzer; past it, BudgetExceeded is raised.
     """
 
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
+        self.witnesses: set = set()
+        self.forcings = 0
         self._qh1_cache: dict = {}
         self._conn_memo: dict = {}
 
@@ -497,36 +548,65 @@ class QuasiHamiltonian:
         comps = connected_components(self.graph.vertex_count, sorted(edges))
         return len(comps) == 1
 
+    def _keep(self, factor: frozenset) -> frozenset:
+        """Keep the cycle factor ``factor`` as a witness when it is one
+        spanning cycle; returns it."""
+        if factor not in self.witnesses and _is_one_cycle(factor, self.graph.vertex_count):
+            self.witnesses.add(CycleFactor.validate(factor, self.graph).edges)
+        return factor
+
+    def _witnessed(self, R: frozenset) -> bool:
+        return any(R <= cycle for cycle in self.witnesses)
+
     def qh1(self, R: frozenset) -> frozenset:
+        """QH_1(G, R) in one pass: every edge of a factor found so far is
+        usable, and each other edge is forced speculatively; a successful
+        forcing leaves a factor through R and the edge, all of it usable."""
         if R in self._qh1_cache:
             return self._qh1_cache[R]
         net = _forced_flow(self.graph, R)
-        result = frozenset() if net is None else frozenset(
-            e for e in self.graph.edges if e in R or net.edge_usable(*e)
-        )
-        self._qh1_cache[R] = result
+        usable: set = set()
+        if net is not None:
+            usable |= self._keep(net.saturated_edges())
+            for e in self.graph.edges:
+                if e in usable:
+                    continue
+                self.forcings += 1
+                if self.forcings > _QH_FORCING_BUDGET:
+                    raise BudgetExceeded(
+                        f"quasi-hamiltonicity hierarchy exceeded {_QH_FORCING_BUDGET} forcings"
+                    )
+                factor = net.edge_usable(*e)
+                if factor is not None:
+                    usable |= self._keep(factor)
+        result = self._qh1_cache[R] = frozenset(usable)
         return result
 
     def qh_conn(self, R: frozenset, k: int) -> bool:
         """Whether QH_k(G, R) is spanning and connected; ``R`` normalized."""
         key = (k, R)
-        if key in self._conn_memo:
-            return self._conn_memo[key]
+        if key not in self._conn_memo:
+            self._conn_memo[key] = self._witnessed(R) or self._decide(R, k)
+        return self._conn_memo[key]
+
+    def _decide(self, R: frozenset, k: int) -> bool:
+        """``qh_conn`` for an R that no witness contained before QH_1(G, R)."""
         edges = sorted(self.qh1(R))
-        result = self._spanning_connected(edges)
-        if result and k > 1:
-            result = False
-            accepted: list = []
-            for index, e in enumerate(edges):
-                if self.qh_conn(R | {e}, k - 1):
-                    accepted.append(e)
-                    if self._spanning_connected(accepted):
-                        result = True
-                        break
-                elif not self._spanning_connected(accepted + edges[index + 1:]):
-                    break
-        self._conn_memo[key] = result
-        return result
+        if self._witnessed(R):
+            return True
+        if not self._spanning_connected(edges):
+            return False
+        if k == 1:
+            return True
+        accepted: list = []
+        for index, e in enumerate(edges):
+            if self.qh_conn(R | {e}, k - 1):
+                accepted.append(e)
+                if self._spanning_connected(accepted):
+                    return True
+            elif not self._spanning_connected(accepted + edges[index + 1:]):
+                return False
+        return False
 
     def qh_set(self, R: Iterable[tuple], k: int) -> frozenset:
         if k < 1:

@@ -28,19 +28,6 @@ _RITZ_TOL = 1e-12        # Jacobi tolerance on the small Rayleigh-Ritz matrix
 _MAX_ITERATIONS = 500
 
 
-def adjacency_matrix(graph) -> np.ndarray:
-    n = graph.vertex_count
-    M = np.zeros((n, n))
-    for u, v in graph.edges:
-        M[u, v] = M[v, u] = 1.0
-    return M
-
-
-def laplacian_matrix(graph) -> np.ndarray:
-    A = adjacency_matrix(graph)
-    return np.diag(A.sum(axis=1)) - A
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Top eigenvalues with multiplicities and residual certificates."""

@@ -287,6 +287,16 @@ class TestGraphCommands:
         assert code == 0
         assert stdout == "k,edges,connected\n1,5,yes\n2,5,yes\n3,5,yes\n"
 
+    def test_qh_budget_exceeded_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        graph_file = tmp_path / "pet.el"
+        graph_file.write_text(export_edge_list(petersen_graph()))
+        monkeypatch.setattr(quasiham, "_QH_FORCING_BUDGET", 1)
+        code, stdout, stderr = run_cli(["qh", "--graph", str(graph_file), "--k", "4"], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "hierarchy exceeded 1 forcings" in stderr
+        assert "Traceback" not in stderr
+
 
 class TestPrime:
     def test_known_value(self, capsys):

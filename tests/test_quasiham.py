@@ -4,16 +4,19 @@ import random
 import pytest
 
 from cayleykit import quasiham
+from cayleykit.cayley import build_cayley
 from cayleykit.errors import BudgetExceeded
+from cayleykit.gensets import GeneratorSet
 from cayleykit.groups import enumerate_elements
 from cayleykit.graphs import (
     SimpleGraph,
     complete_bipartite,
     complete_graph,
+    connected_components,
     cycle_graph,
     petersen_graph,
 )
-from cayleykit.perms import Permutation
+from cayleykit.perms import CycleType, Permutation
 from cayleykit.quasiham import (
     CycleFactor,
     FlowNetwork,
@@ -176,6 +179,55 @@ class TestHamiltonicity:
         assert rows == [(1, 5, True), (2, 5, True), (3, 5, True)]
 
 
+def transposition_cayley(n, pairs):
+    T = GeneratorSet(n, [Permutation.from_text(f"({a} {b})", n) for a, b in pairs], CycleType([2]))
+    return build_cayley(T)
+
+
+def prism_graph(m):
+    """C_m x K_2: two m-cycles joined by a perfect matching."""
+    ring = [(i, (i + 1) % m) for i in range(m)]
+    return SimpleGraph(2 * m, ring + [(m + u, m + v) for u, v in ring] + [(i, m + i) for i in range(m)])
+
+
+def hypercube(d):
+    return SimpleGraph(2 ** d, [(v, v | 1 << b) for v in range(2 ** d) for b in range(d) if not v >> b & 1])
+
+
+class TestNamedInstances:
+    """Hamiltonian graphs decided through kept witnesses; the hierarchy
+    without them takes 1.5 s on the 10-vertex prism and over a minute on
+    each of the others."""
+
+    @pytest.mark.parametrize("pairs", [[(1, 2), (2, 3), (3, 4)], [(1, 2), (1, 3), (1, 4)]],
+                             ids=["path", "star"])
+    def test_s4_transposition_cayley_graphs(self, pairs):
+        # Kompel'maher and Liskovets: Cay(S_n, T) is Hamiltonian for every
+        # transposition generating set T.
+        g = transposition_cayley(4, pairs)
+        assert g.vertex_count == 24
+        assert hamiltonian_via_qh(g)
+
+    @pytest.mark.parametrize("graph", [prism_graph(5), prism_graph(7), hypercube(4)],
+                             ids=["prism10", "prism14", "Q4"])
+    def test_prisms_and_the_4_cube(self, graph):
+        assert hamiltonian_via_qh(graph)
+        if graph.vertex_count <= 12:
+            assert brute_hamiltonian(graph)
+
+    def test_cycle_decides_after_one_flow(self, monkeypatch):
+        networks = []
+        build = FlowNetwork.__init__
+
+        def counted(self, graph):
+            networks.append(graph)
+            build(self, graph)
+
+        monkeypatch.setattr(FlowNetwork, "__init__", counted)
+        assert hamiltonian_via_qh(cycle_graph(8))
+        assert len(networks) == 1
+
+
 def _full_set_reference(analyzer, R, k, memo):
     """QH_k(G, R) as the full edge set at every level (the definition)."""
     key = (k, R)
@@ -205,6 +257,7 @@ def _assert_predicate_matches_full_sets(g, k_max):
             full = _full_set_reference(reference, R, k, memo)
             assert analyzer.qh_conn(R, k) == reference._spanning_connected(full), (k, R)
             assert analyzer.qh_set(R, k) == full, (k, R)
+    return analyzer
 
 
 class TestConnectivityPredicate:
@@ -237,6 +290,58 @@ class TestConnectivityPredicate:
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             QuasiHamiltonian(cycle_graph(4)).is_k_quasi_hamiltonian(0)
+
+
+class TestWitnesses:
+    @staticmethod
+    def _assert_witnesses_sound(analyzer):
+        g = analyzer.graph
+        for cycle in analyzer.witnesses:
+            CycleFactor.validate(cycle, g)
+            assert len(connected_components(g.vertex_count, sorted(cycle))) == 1
+
+    def test_random_graphs_keep_sound_witnesses_and_exact_sets(self):
+        rng = random.Random(4242)
+        kept = 0
+        for _ in range(15):
+            g = random_connected_graph(rng, 3, 7)
+            analyzer = _assert_predicate_matches_full_sets(g, max(1, g.vertex_count - 2))
+            self._assert_witnesses_sound(analyzer)
+            kept += len(analyzer.witnesses)
+        assert kept  # the shortcut ran
+
+    @pytest.mark.parametrize("graph,k_max", [(tietze_graph(), 4), (petersen_graph(), 8)],
+                             ids=["Tietze", "Petersen"])
+    def test_graphs_without_witnesses(self, graph, k_max):
+        analyzer = _assert_predicate_matches_full_sets(graph, k_max)
+        assert not analyzer.witnesses
+
+    def test_named_instances_keep_sound_witnesses(self):
+        for g in (transposition_cayley(4, [(1, 2), (1, 3), (1, 4)]), hypercube(4)):
+            analyzer = QuasiHamiltonian(g)
+            assert analyzer.is_k_quasi_hamiltonian(g.vertex_count - 2)
+            assert analyzer.witnesses
+            self._assert_witnesses_sound(analyzer)
+
+
+class TestHierarchyBudget:
+    def test_budget_bounds_the_forcings(self, monkeypatch):
+        g = petersen_graph()
+        analyzer = QuasiHamiltonian(g)
+        assert not analyzer.is_k_quasi_hamiltonian(8)
+        needed = analyzer.forcings
+        assert needed > 0
+        monkeypatch.setattr(quasiham, "_QH_FORCING_BUDGET", needed)
+        assert not QuasiHamiltonian(g).is_k_quasi_hamiltonian(8)
+        monkeypatch.setattr(quasiham, "_QH_FORCING_BUDGET", needed - 1)
+        with pytest.raises(BudgetExceeded, match=f"exceeded {needed - 1} forcings"):
+            QuasiHamiltonian(g).is_k_quasi_hamiltonian(8)
+
+    def test_a_witness_needs_no_forcing(self, monkeypatch):
+        monkeypatch.setattr(quasiham, "_QH_FORCING_BUDGET", 0)
+        assert hamiltonian_via_qh(cycle_graph(8))
+        with pytest.raises(BudgetExceeded):
+            hamiltonian_via_qh(petersen_graph())
 
 
 # Forcing an edge of this graph after the maximum flow (inside qh1) reaches the
@@ -389,7 +494,6 @@ def test_full_equivalence_over_random_connected_corpus():
         assert hamiltonian_via_qh(g) == brute_hamiltonian(g)
 
 
-@pytest.mark.slow
 def test_equivalence_on_eight_vertex_corpus():
     rng = random.Random(808)
     for _ in range(30):

@@ -10,15 +10,27 @@ from cayleykit.graphs import SimpleGraph, complete_graph, cycle_graph, petersen_
 from cayleykit.perms import CycleType, Permutation
 from cayleykit.cayley import build_cayley
 from cayleykit.spectral import (
-    adjacency_matrix,
     check_regular_spectrum,
     jacobi_eigensystem,
-    laplacian_matrix,
     second_eigenvalue_comparison,
     spectrum_topk,
 )
 
 from samplers import random_connected_graph
+
+
+def adjacency_matrix(graph):
+    """The dense adjacency matrix (oracle input for numpy.linalg)."""
+    n = graph.vertex_count
+    M = np.zeros((n, n))
+    for u, v in graph.edges:
+        M[u, v] = M[v, u] = 1.0
+    return M
+
+
+def laplacian_matrix(graph):
+    A = adjacency_matrix(graph)
+    return np.diag(A.sum(axis=1)) - A
 
 
 def closed_form_c6():
