@@ -78,10 +78,10 @@ print()
 print("=" * 72)
 print("4. The order identity, both sides computed independently")
 print("=" * 72)
-report = verify_order_identity(path5, 5)
+report = verify_order_identity(path5)
 print(report.to_text())
 
 print("set-preserving conjugations of the path:",
-      [sigma.to_text() for sigma in aut_snt(path5, 5)])
+      [sigma.to_text() for sigma in aut_snt(path5)])
 order, gens = graph_aut_order(build_cayley(path5))
 print(f"graph side recomputed: order {order} from {len(gens)} verified generators")

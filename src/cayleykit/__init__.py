@@ -39,11 +39,11 @@ from .graphs import (
 )
 from .cayley import (
     CayleyGraph,
-    CycleGraph,
     build_cayley,
     commutator_cycle,
     commuting_4cycle,
     count_4cycles_through,
+    cycle_graph_of,
     is_normal,
     same_element_criterion,
     walk_in_graph,

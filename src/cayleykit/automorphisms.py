@@ -27,10 +27,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded
-from .cayley import CayleyGraph, CycleGraph, build_cayley, count_4cycles_through, is_normal
+from .cayley import CayleyGraph, build_cayley, count_4cycles_through, cycle_graph_of, is_normal
 from .gensets import GeneratorSet
-from .graphs import SimpleGraph
-from .perms import Permutation, invert_map
+from .graphs import SimpleGraph, connected_components
+from .perms import Permutation
 
 # Node budget of one conjugation search.  It enters at most one node per
 # partial injection, e * 8! (about 109,600) for n <= 8; the star on 9 points
@@ -39,16 +39,17 @@ _CONJUGATION_NODE_BUDGET = 200_000
 
 
 class GraphAutomorphism:
-    """A vertex permutation verified to preserve adjacency."""
+    """A vertex bijection verified to map the edge set onto itself."""
 
     __slots__ = ("mapping",)
 
-    def __init__(self, mapping: Sequence[int], adj: list):
-        self.mapping = tuple(mapping)
-        sets = [set(nbrs) for nbrs in adj]
-        for u, nbrs in enumerate(adj):
-            if {self.mapping[w] for w in nbrs} != sets[self.mapping[u]]:
-                raise AssertionError("mapping does not preserve adjacency")
+    def __init__(self, mapping: Sequence[int], graph: SimpleGraph):
+        m = self.mapping = tuple(mapping)
+        if sorted(m) != list(range(graph.vertex_count)):
+            raise AssertionError("mapping is not a bijection of the vertices")
+        images = sorted((m[u], m[v]) if m[u] < m[v] else (m[v], m[u]) for u, v in graph.edges)
+        if tuple(images) != graph.edges:
+            raise AssertionError("mapping does not preserve adjacency")
 
     def __call__(self, v: int) -> int:
         return self.mapping[v]
@@ -171,10 +172,9 @@ class _AutSearch:
             cell = np.flatnonzero(colors == colors[b]).tolist()
             # Only automorphisms found at this level fix the whole prefix,
             # so the stabilizer orbit of b must be computed from them alone
-            # (deeper ones will fix b too and cannot enlarge it).
-            # Each one is kept with its inverse, so the orbit walk moves both
-            # ways by lookup.
-            level_maps: list = []
+            # (deeper ones will fix b too and cannot enlarge it): it is the
+            # component of b under the arcs v -> m[v] of this level's maps.
+            arcs: list = []
             orbit = {b}
             for u in cell[1:]:
                 if u in orbit:
@@ -183,25 +183,13 @@ class _AutSearch:
                     level + 1, self.refine(self._individualize(colors, u))
                 )
                 if found is not None:
-                    level_maps += (found, invert_map(found))
+                    arcs += enumerate(found)
                     gens.append(found)
-                    orbit = self._orbit(b, level_maps)
+                    orbit = next(
+                        set(c) for c in connected_components(self.n, arcs) if b in c
+                    )
             order *= len(orbit & set(cell))
         return order, gens
-
-    def _orbit(self, b: int, mappings: list) -> set:
-        orbit = {b}
-        frontier = [b]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for m in mappings:
-                    q = m[p]
-                    if q not in orbit:
-                        orbit.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return orbit
 
 
 def graph_aut_order(graph: SimpleGraph, budget: int = 2000) -> tuple:
@@ -212,15 +200,15 @@ def graph_aut_order(graph: SimpleGraph, budget: int = 2000) -> tuple:
     if graph.vertex_count > budget:
         raise BudgetExceeded(f"{graph.vertex_count} vertices exceeds budget {budget}")
     order, raw = _AutSearch(graph).run()
-    gens = [GraphAutomorphism(m, graph.adjacency) for m in sorted(raw)]
+    gens = [GraphAutomorphism(m, graph) for m in sorted(raw)]
     return order, gens
 
 
 # -- group-side automorphisms -------------------------------------------------
 
 
-def aut_snt(T: GeneratorSet, n: int) -> list:
-    """All conjugations of S_n preserving the connection set S = T u T^-1.
+def aut_snt(T: GeneratorSet) -> list:
+    """All conjugations of S_n, n = T.degree, preserving S = T u T^-1.
 
     S, not T, is what the Cayley graph sees; the two stabilizers agree when
     T consists of involutions.  Inner automorphisms only; this is the whole
@@ -229,7 +217,7 @@ def aut_snt(T: GeneratorSet, n: int) -> list:
     n; it raises BudgetExceeded past ``_CONJUGATION_NODE_BUDGET`` nodes.
     """
     target = set(T.elements) | {g.inverse() for g in T.elements}
-    return sorted(_conjugation_search(list(target), n))
+    return sorted(_conjugation_search(list(target), T.degree))
 
 
 def _conjugation_search(elements: list, n: int) -> list:
@@ -286,7 +274,7 @@ def _conjugation_search(elements: list, n: int) -> list:
 def right_representation(graph: CayleyGraph, g: Permutation) -> GraphAutomorphism:
     """The vertex map x -> x * g; verified edge-preserving on construction."""
     mapping = [graph.vertex_of(x * g) for x in graph.vertex_perm]
-    return GraphAutomorphism(mapping, graph.adjacency)
+    return GraphAutomorphism(mapping, graph)
 
 
 def translate_automorphism(graph: CayleyGraph, phi: GraphAutomorphism,
@@ -304,7 +292,7 @@ def translate_automorphism(graph: CayleyGraph, phi: GraphAutomorphism,
         graph.vertex_of(graph.vertex_perm[phi(graph.vertex_of(x * y))] * tail)
         for x in graph.vertex_perm
     ]
-    result = GraphAutomorphism(mapping, graph.adjacency)
+    result = GraphAutomorphism(mapping, graph)
     if result(0) != 0:
         raise AssertionError("translated automorphism failed to fix the identity")
     return result
@@ -317,6 +305,7 @@ def translate_automorphism(graph: CayleyGraph, phi: GraphAutomorphism,
 class AutReport:
     """Orders around Aut(Cay(S_n, T)) = R(S_n) x| Aut(S_n, T).
 
+    The fields are what was measured; the rest is derived from them.
     ``identity_holds`` is the exact integer identity
     graph_aut_order == n_factorial * aut_snt_order, where aut_snt_order
     counts the conjugations preserving S = T u T^-1.  ``cyc_aut_order`` is the
@@ -331,10 +320,19 @@ class AutReport:
     normal_reasons: tuple
     graph_aut_order: int
     aut_snt_order: int
-    n_factorial: int
-    identity_holds: bool
     cyc_aut_order: Optional[int]
-    n6_caveat: bool
+
+    @property
+    def n_factorial(self) -> int:
+        return math.factorial(self.degree)
+
+    @property
+    def identity_holds(self) -> bool:
+        return self.graph_aut_order == self.n_factorial * self.aut_snt_order
+
+    @property
+    def n6_caveat(self) -> bool:
+        return self.degree == 6
 
     def to_text(self) -> str:
         lines = [
@@ -380,35 +378,30 @@ class AutReport:
         return header + "\n" + row + "\n"
 
 
-def verify_order_identity(T: GeneratorSet, n: int, budget: int = 2000) -> AutReport:
+def verify_order_identity(T: GeneratorSet, budget: int = 2000) -> AutReport:
     """Compute both sides of the semidirect order identity independently.
 
     Left side: the graph automorphism order by partition-refinement search.
-    Right side: n! times the number of conjugations preserving T u T^-1.
-    Non-tree inputs still produce a report (the hypothesis status is
-    recorded), since those data points bear on the conjecture that the
-    identity holds anyway.
+    Right side: n! (n = T.degree) times the number of conjugations
+    preserving T u T^-1.  Non-tree inputs still produce a report (the
+    hypothesis status is recorded), since those data points bear on the
+    conjecture that the identity holds anyway.
     """
     graph = build_cayley(T, cap=max(budget, 1))
     aut_order, _ = graph_aut_order(graph, budget)
-    stabilizing = aut_snt(T, n)
-    single_cycles = all(len(g.cycles()) == 1 for g in T.elements)
-    if single_cycles:
+    stabilizing = aut_snt(T)
+    if all(len(g.cycles()) == 1 for g in T.elements):
         normal, reasons = is_normal(T)
-        cyc_aut = graph_aut_order(CycleGraph(T).graph, budget)[0]
+        cyc_aut = graph_aut_order(cycle_graph_of(T), budget)[0]
     else:
         normal, reasons = False, ["elements are not single cycles"]
         cyc_aut = None
-    n_fact = math.factorial(n)
     return AutReport(
-        degree=n,
+        degree=T.degree,
         set_size=len(T),
         normal=normal,
         normal_reasons=tuple(reasons),
         graph_aut_order=aut_order,
         aut_snt_order=len(stabilizing),
-        n_factorial=n_fact,
-        identity_holds=aut_order == n_fact * len(stabilizing),
         cyc_aut_order=cyc_aut,
-        n6_caveat=(n == 6),
     )

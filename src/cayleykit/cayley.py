@@ -15,8 +15,6 @@ reproducible.  A finished graph is never mutated.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import groups
 from .graphs import SimpleGraph
 from .gensets import GeneratorSet, is_split
@@ -81,45 +79,24 @@ def build_cayley(generating_set: GeneratorSet, cap: int = 1_000_000) -> CayleyGr
 # -- the cycle graph on points ----------------------------------------------
 
 
-class CycleGraph:
-    """Graph on the points 1..n with the path edges of each generator cycle.
+def _single_cycles(generating_set: GeneratorSet) -> list:
+    """Each element's one cycle, written from its smallest point."""
+    cycles = [g.cycles() for g in generating_set.elements]
+    if any(len(c) != 1 for c in cycles):
+        raise ValueError("the cycle graph is defined for sets of single cycles")
+    return [c[0] for c in cycles]
 
-    A generator (x1 x2 .. xk) contributes edges x1x2, .., x(k-1)xk for the
-    chosen writing of the cycle; writings start at each cycle's smallest
-    support point unless a different start is requested, and the choice is
-    recorded so tests can vary it.
-    """
 
-    def __init__(self, generating_set: GeneratorSet, starts: Optional[dict] = None):
-        if any(len(g.cycles()) != 1 for g in generating_set.elements):
-            raise ValueError("the cycle graph is defined for sets of single cycles")
-        self.generating_set = generating_set
-        self.points = generating_set.degree
-        self.chosen_start = {}
-        edges = []
-        self.edge_owner: dict = {}
-        for idx, g in enumerate(generating_set.elements):
-            cycle = g.cycles()[0]
-            start = (starts or {}).get(idx, min(cycle))
-            if start not in cycle:
-                raise ValueError(f"start {start} not in the support of element {idx}")
-            offset = cycle.index(start)
-            writing = cycle[offset:] + cycle[:offset]
-            self.chosen_start[idx] = writing
-            for a, b in zip(writing, writing[1:]):
-                edge = (min(a, b) - 1, max(a, b) - 1)
-                edges.append(edge)
-                self.edge_owner.setdefault(edge, idx)
-        self.graph = SimpleGraph(self.points, edges)
-        self.parallel_free = len(edges) == len(set(edges))
-
-    def is_tree(self) -> bool:
-        g = self.graph
-        return (
-            self.parallel_free
-            and len(g.edges) == g.vertex_count - 1
-            and g.is_connected()
-        )
+def cycle_graph_of(generating_set: GeneratorSet) -> SimpleGraph:
+    """Graph on the points 1..n (as vertices 0..n-1) with the path edges of
+    each generator cycle: (x1 x2 .. xk), written from its smallest point,
+    contributes x1x2, .., x(k-1)xk."""
+    edges = [
+        (a - 1, b - 1)
+        for cycle in _single_cycles(generating_set)
+        for a, b in zip(cycle, cycle[1:])
+    ]
+    return SimpleGraph(generating_set.degree, edges)
 
 
 def element_degrees(generating_set: GeneratorSet) -> list:
@@ -135,12 +112,18 @@ def element_degrees(generating_set: GeneratorSet) -> list:
     return out
 
 
-def is_normal(generating_set: GeneratorSet, starts: Optional[dict] = None) -> tuple:
+def is_normal(generating_set: GeneratorSet) -> tuple:
     """Decide the tree-with-sparse-leaves condition; returns (bool, reasons).
 
-    Requires: more than two single-cycle elements, a split set, an acyclic
-    and connected cycle graph, and every element sharing support with at most
+    Requires: more than two single-cycle elements, a split set, a cycle
+    graph that is a tree, and every element sharing support with at most
     one leaf (a leaf is an element of degree 1).
+
+    The tree test counts.  Two supports of a split set share at most one
+    point, so the cycle paths are edge-disjoint, and each path connects its
+    own support whichever point its cycle is written from.  The cycle graph
+    is therefore a tree exactly when the point orbits are one and the paths
+    hold n - 1 edges in all.
     """
     reasons = []
     if len(generating_set) <= 2:
@@ -148,8 +131,9 @@ def is_normal(generating_set: GeneratorSet, starts: Optional[dict] = None) -> tu
     if not is_split(generating_set):
         reasons.append("set is not split")
         return False, reasons
-    cg = CycleGraph(generating_set, starts)
-    if not cg.is_tree():
+    path_edges = sum(len(c) - 1 for c in _single_cycles(generating_set))
+    n = generating_set.degree
+    if not (path_edges == n - 1 and groups.orbits(generating_set.elements, n).is_single):
         reasons.append("cycle graph is not a tree")
     degrees = element_degrees(generating_set)
     leaves = {i for i, d in enumerate(degrees) if d == 1}

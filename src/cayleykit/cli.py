@@ -140,7 +140,7 @@ def cmd_aut(args) -> int:
     started = time.perf_counter()
     if args.set:
         T = gensets.GeneratorSet.from_text(_read(args.set))
-        report = verify_order_identity(T, T.degree, budget=args.budget)
+        report = verify_order_identity(T, budget=args.budget)
         text = report.to_csv() if args.format == "csv" else report.to_text()
         if args.timing:
             # opt-in: timing lines break byte-determinism by nature

@@ -422,8 +422,6 @@ def split_divisor(T: GeneratorSet, cycle_type: CycleType, m: int) -> GeneratorSe
         raise ValueError(
             f"elements have type ({T.cycle_type}), expected {m} copies of ({cycle_type})"
         )
-    if m == 1:
-        return GeneratorSet(T.degree, T.elements, cycle_type)
     multiplicity: dict = {}
     for part in cycle_type.parts:
         multiplicity[part] = multiplicity.get(part, 0) + 1

@@ -540,13 +540,8 @@ class QuasiHamiltonian:
         self._conn_memo: dict = {}
 
     def _spanning_connected(self, edges) -> bool:
-        if not edges:
-            return False
-        touched = {v for e in edges for v in e}
-        if len(touched) != self.graph.vertex_count:
-            return False
-        comps = connected_components(self.graph.vertex_count, sorted(edges))
-        return len(comps) == 1
+        # one component over all the vertices is already spanning
+        return bool(edges) and len(connected_components(self.graph.vertex_count, edges)) == 1
 
     def _keep(self, factor: frozenset) -> frozenset:
         """Keep the cycle factor ``factor`` as a witness when it is one

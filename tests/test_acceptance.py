@@ -197,13 +197,13 @@ def test_c08_order_identity_on_the_5_point_path():
     two-generator 6-cycle instance is recorded alongside."""
     path5 = GeneratorSet(5, [P(t, 5) for t in ["(1 2)", "(2 3)", "(3 4)", "(4 5)"]],
                          CycleType([2]))
-    rep = verify_order_identity(path5, 5)
+    rep = verify_order_identity(path5)
     assert rep.normal
     assert rep.graph_aut_order == 240
     assert rep.aut_snt_order == 2
     assert rep.graph_aut_order == rep.n_factorial * rep.aut_snt_order
     pair3 = GeneratorSet(3, [P(t, 3) for t in ["(1 2)", "(2 3)"]], CycleType([2]))
-    rep3 = verify_order_identity(pair3, 3)
+    rep3 = verify_order_identity(pair3)
     assert rep3.graph_aut_order == 12 == 6 * rep3.aut_snt_order
     report("criterion 8: 240 = 120 x 2 on the 5-point path; 12 = 6 x 2 recorded for the 6-cycle")
 
@@ -334,7 +334,7 @@ def test_c14_byte_identical_reruns():
 
     path5 = GeneratorSet(5, [P(t, 5) for t in ["(1 2)", "(2 3)", "(3 4)", "(4 5)"]],
                          CycleType([2]))
-    assert verify_order_identity(path5, 5).to_text() == verify_order_identity(path5, 5).to_text()
+    assert verify_order_identity(path5).to_text() == verify_order_identity(path5).to_text()
 
     script = "import sys; from cayleykit.cli import main; sys.exit(main(sys.argv[1:]))"
     for args in (

@@ -241,12 +241,12 @@ class TestGraphAutOrder:
 
 class TestAutSnt:
     def test_path_has_only_the_reversal(self):
-        stabilizing = aut_snt(PATH5, 5)
+        stabilizing = aut_snt(PATH5)
         assert len(stabilizing) == 2
         assert P("(1 5)(2 4)", 5) in stabilizing
 
     def test_star_fixes_the_hub(self):
-        stabilizing = aut_snt(STAR4, 4)
+        stabilizing = aut_snt(STAR4)
         assert len(stabilizing) == 6
         assert all(sigma(1) == 1 for sigma in stabilizing)
 
@@ -257,7 +257,7 @@ class TestAutSnt:
             for a, b in itertools.combinations(range(1, n + 1), 2)
         ]
         T = GeneratorSet(n, cls, CycleType([2]))
-        assert len(aut_snt(T, n)) == math.factorial(n)
+        assert len(aut_snt(T)) == math.factorial(n)
 
     def test_backtracking_path_matches_exhaustive(self):
         # degree 9, past the exhaustive oracle; only the reversal preserves it
@@ -266,7 +266,7 @@ class TestAutSnt:
             9,
             [2],
         )
-        found = aut_snt(T9, 9)
+        found = aut_snt(T9)
         assert len(found) == 2
         assert P("(1 9)(2 8)(3 7)(4 6)", 9) in found
 
@@ -275,13 +275,13 @@ class TestAutSnt:
         # Aut(Cay(S_7, T)) has 40320 = 7! * 8 elements; the graph sees
         # T u T^-1, whose stabilizer has 8 elements (T's alone has 2)
         T = make_set(["(1 2 3 4)", "(4 5 6 7)"], 7, [4])
-        assert len(aut_snt(T, 7)) == 8
+        assert len(aut_snt(T)) == 8
 
     def test_backtracking_counts_the_connection_set(self):
         texts = ["(1 2 3 4)", "(4 5 6 7)", "(6 7 8 9)"]
         T = make_set(texts, 9, [4])
         with_inverses = make_set(texts + ["(1 4 3 2)", "(4 7 6 5)", "(6 9 8 7)"], 9, [4])
-        assert aut_snt(T, 9) == aut_snt(with_inverses, 9)
+        assert aut_snt(T) == aut_snt(with_inverses)
 
     def test_matches_exhaustive_scan_on_random_sets(self):
         # 3-cycles and 4-cycles are not involutions, so there S != T
@@ -293,18 +293,43 @@ class TestAutSnt:
             for _ in range(rng.randint(1, 4)):
                 elements.add(Permutation.from_cycles([rng.sample(range(1, n + 1), k)], n))
             T = GeneratorSet(n, sorted(elements), CycleType([k]))
-            assert aut_snt(T, n) == brute_aut_snt(T, n)
+            assert aut_snt(T) == brute_aut_snt(T, n)
 
     def test_node_budget(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(automorphisms, "_CONJUGATION_NODE_BUDGET", 1)
         with pytest.raises(BudgetExceeded):
-            aut_snt(PATH5, 5)
+            aut_snt(PATH5)
         gens = tmp_path / "path4.gens"
         gens.write_text("n=4 type=2\n(1 2)\n(2 3)\n(3 4)\n")
         assert main(["aut", "--set", str(gens)]) == 1
         stderr = capsys.readouterr().err
         assert "conjugation search exceeded 1 nodes" in stderr
         assert "Traceback" not in stderr
+
+
+class TestGraphAutomorphism:
+    def test_rejects_an_isolated_vertex_sent_onto_another(self):
+        # the edge maps onto itself, but vertex 0 has two preimages
+        g = SimpleGraph(3, [(0, 1)])
+        with pytest.raises(AssertionError):
+            GraphAutomorphism((0, 1, 0), g)
+
+    def test_rejects_a_bijection_that_breaks_one_edge(self):
+        # swapping 2 with the isolated 3 keeps (0, 1) and sends (1, 2) to (1, 3)
+        g = SimpleGraph(4, [(0, 1), (1, 2)])
+        with pytest.raises(AssertionError):
+            GraphAutomorphism((0, 1, 3, 2), g)
+        assert GraphAutomorphism((2, 1, 0, 3), g).mapping == (2, 1, 0, 3)
+
+    @pytest.mark.parametrize(
+        "graph", [petersen_graph, lambda: build_cayley(PATH5)], ids=["petersen", "path5"]
+    )
+    def test_accepts_every_search_generator(self, graph):
+        g = graph()
+        _, gens = graph_aut_order(g)
+        assert gens
+        for phi in gens:
+            assert GraphAutomorphism(phi.mapping, g) == phi
 
 
 class TestRepresentations:
@@ -316,7 +341,7 @@ class TestRepresentations:
 
     def test_identity_translation(self):
         g = build_cayley(make_set(["(1 2)", "(2 3)"], 3, [2]))
-        identity_map = GraphAutomorphism(range(g.vertex_count), g.adjacency)
+        identity_map = GraphAutomorphism(range(g.vertex_count), g)
         for y in g.vertex_perm:
             assert translate_automorphism(g, identity_map, y).mapping == identity_map.mapping
 
@@ -334,7 +359,7 @@ class TestRepresentations:
 
 class TestOrderIdentity:
     def test_path_on_five_points(self):
-        report = verify_order_identity(PATH5, 5)
+        report = verify_order_identity(PATH5)
         assert report.normal
         assert report.graph_aut_order == 240
         assert report.aut_snt_order == 2
@@ -344,7 +369,7 @@ class TestOrderIdentity:
 
     def test_two_generator_case_recorded(self):
         T = make_set(["(1 2)", "(2 3)"], 3, [2])
-        report = verify_order_identity(T, 3)
+        report = verify_order_identity(T)
         assert not report.normal
         assert report.graph_aut_order == 12
         assert report.aut_snt_order == 2
@@ -352,23 +377,23 @@ class TestOrderIdentity:
 
     def test_non_normal_path_still_reports(self):
         T = make_set(["(1 2)", "(2 3)", "(3 4)"], 4, [2])
-        report = verify_order_identity(T, 4)
+        report = verify_order_identity(T)
         assert not report.normal
         assert report.graph_aut_order == 48
         assert report.identity_holds  # the identity extends past the hypothesis here
 
     def test_budget_caps_the_cayley_graph(self):
         with pytest.raises(CapExceeded):
-            verify_order_identity(PATH5, 5, budget=119)
-        assert verify_order_identity(PATH5, 5, budget=120).identity_holds
+            verify_order_identity(PATH5, budget=119)
+        assert verify_order_identity(PATH5, budget=120).identity_holds
 
     def test_n6_caveat_flagged(self):
         T = make_set(["(1 2)", "(2 3)", "(3 4)", "(4 5)", "(5 6)"], 6, [2])
-        report = verify_order_identity(T, 6)
+        report = verify_order_identity(T)
         assert report.n6_caveat
 
     def test_report_serialization_round(self):
-        report = verify_order_identity(PATH5, 5)
+        report = verify_order_identity(PATH5)
         text = report.to_text()
         assert "identity_holds=yes" in text
         csv = report.to_csv()
@@ -385,7 +410,7 @@ def test_seven_point_graphs_at_full_scale():
     pair = make_set(["(1 2 3 4)", "(4 5 6 7)"], 7, [4])
     order, gens = graph_aut_order(build_cayley(pair, cap=6000), budget=6000)
     assert (order, len(gens)) == (40320, 5)
-    assert "identity_holds=yes" in verify_order_identity(pair, 7, budget=6000).to_text()
+    assert "identity_holds=yes" in verify_order_identity(pair, budget=6000).to_text()
 
 
 @pytest.mark.slow
@@ -401,6 +426,6 @@ def test_alternating_seven_three_cycle_instance_recorded():
     g = build_cayley(T, cap=3000)
     assert g.vertex_count == 2520
     order, _ = graph_aut_order(g, budget=3000)
-    stabilizing = aut_snt(T, n)
+    stabilizing = aut_snt(T)
     print(f"A7 instance: |Aut| = {order}, |Aut(S7,T)| = {len(stabilizing)}, "
           f"|A7| * {len(stabilizing)} = {2520 * len(stabilizing)}")

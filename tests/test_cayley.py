@@ -4,19 +4,19 @@ import random
 import pytest
 
 from cayleykit.cayley import (
-    CycleGraph,
     build_cayley,
     commutator_cycle,
     commuting_4cycle,
     count_4cycles_through,
+    cycle_graph_of,
     element_degrees,
     is_normal,
     same_element_criterion,
     walk_in_graph,
 )
 from cayleykit.errors import CapExceeded
-from cayleykit.gensets import GeneratorSet, construct_cycle_pair
-from cayleykit.graphs import export_edge_list
+from cayleykit.gensets import GeneratorSet, construct_cycle_pair, is_split
+from cayleykit.graphs import SimpleGraph, connected_components, export_edge_list
 from cayleykit.groups import enumerate_elements
 from cayleykit.perms import CycleType, Permutation
 
@@ -30,6 +30,40 @@ def make_set(texts, n, parts):
 
 
 PATH5 = make_set(["(1 2)", "(2 3)", "(3 4)", "(4 5)"], 5, [2])
+
+
+def random_cycle_set(rng):
+    """A set of k-cycles on up to 10 points.  A third are cycles on random
+    points.  The rest grow tree-like, each cycle meeting the points so far
+    in one point, and may add a stray cycle on the points used; half of
+    them stop short of the last points and always add one, so that a cycle
+    graph with n - 1 edges is often disconnected."""
+    k = rng.randint(2, 4)
+    n = rng.randint(k + 1, 10)
+    points = rng.sample(range(1, n + 1), n)
+    mode = rng.randrange(3)
+    if mode == 0:
+        cycles = [rng.sample(points, k) for _ in range(rng.randint(1, 5))]
+    else:
+        used, fresh, cycles = points[:1], points[1:], []
+        while len(fresh) >= (k - 1) * mode and len(cycles) < 5:
+            cycles.append([rng.choice(used)] + fresh[: k - 1])
+            used, fresh = used + fresh[: k - 1], fresh[k - 1 :]
+        if len(used) >= k and (mode == 2 or rng.random() < 0.5):
+            cycles.append(rng.sample(used, k))
+    elements = sorted({Permutation.from_cycles([c], n) for c in cycles})
+    return GeneratorSet(n, elements, CycleType([k]))
+
+
+def rotated_path_graph(T, rng):
+    """Oracle: the cycle graph with each cycle written from a random point."""
+    edges = []
+    for g in T.elements:
+        cycle = g.cycles()[0]
+        r = rng.randrange(len(cycle))
+        writing = cycle[r:] + cycle[:r]
+        edges += [(a - 1, b - 1) for a, b in zip(writing, writing[1:])]
+    return SimpleGraph(T.degree, edges)
 
 
 class TestBuildCayley:
@@ -115,22 +149,39 @@ class TestCycleGraphAndNormality:
         assert element_degrees(PATH5) == [1, 2, 2, 1]
 
     def test_cycle_graph_edges(self):
-        cg = CycleGraph(make_set(["(1 2 3 4)", "(4 5 6 7)"], 7, [4]))
-        assert cg.graph.edges == (
+        graph = cycle_graph_of(make_set(["(1 2 3 4)", "(4 5 6 7)"], 7, [4]))
+        assert graph.edges == (
             (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
         )
-        assert cg.is_tree()
+        assert graph.is_connected()
 
-    def test_start_choice_does_not_affect_normality(self):
-        T = make_set(["(1 2 3 4)", "(4 5 6 7)", "(7 8 9 10)"], 10, [4])
-        default = is_normal(T)[0]
-        for starts in itertools.product((1, 2, 3, 4), (4, 5, 6, 7), (7, 8, 9, 10)):
-            chosen = {i: s for i, s in enumerate(starts)}
-            assert is_normal(T, starts=chosen)[0] == default
+    def test_tree_test_matches_rotated_path_oracle(self):
+        # the counting test against the cycle graph itself, each cycle
+        # written from a random point
+        rng = random.Random(2024)
+        kinds = ("not split", "tree", "cyclic", "n - 1 edges, split up", "split up, other")
+        seen = dict.fromkeys(kinds, 0)
+        for _ in range(600):
+            T = random_cycle_set(rng)
+            ok, reasons = is_normal(T)
+            assert ok == (not reasons)
+            if not is_split(T):
+                assert not ok and reasons[-1] == "set is not split"
+                seen["not split"] += 1
+                continue
+            graph = rotated_path_graph(T, rng)
+            one = len(connected_components(T.degree, graph.edges)) == 1
+            full = len(graph.edges) == T.degree - 1
+            assert ("cycle graph is not a tree" in reasons) == (not (one and full))
+            seen[kinds[1 + 2 * (not one) + (not full)]] += 1
+        assert min(seen.values()) >= 10, seen
 
     def test_multi_cycle_elements_rejected(self):
+        T = make_set(["(1 2)(3 4)", "(4 5)(6 7)", "(7 8)(9 10)"], 10, [2, 2])
         with pytest.raises(ValueError):
-            CycleGraph(make_set(["(1 2)(3 4)"], 4, [2, 2]))
+            cycle_graph_of(T)
+        with pytest.raises(ValueError):
+            is_normal(T)
 
     def test_cycle_graph_with_a_cycle_is_not_normal(self):
         T = make_set(["(1 2)", "(2 3)", "(1 3)"], 3, [2])
