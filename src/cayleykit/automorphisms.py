@@ -385,9 +385,16 @@ def verify_order_identity(T: GeneratorSet, budget: int = 2000) -> AutReport:
     Right side: n! (n = T.degree) times the number of conjugations
     preserving T u T^-1.  Non-tree inputs still produce a report (the
     hypothesis status is recorded), since those data points bear on the
-    conjecture that the identity holds anyway.
+    conjecture that the identity holds anyway.  A set that does not generate
+    S_n raises ValueError: the identity is stated for Cay(S_n, T).
     """
     graph = build_cayley(T, cap=max(budget, 1))
+    n_factorial = math.factorial(T.degree)
+    if graph.vertex_count != n_factorial:
+        raise ValueError(
+            f"<T> has order {graph.vertex_count}, not {T.degree}! = {n_factorial}; "
+            "the order identity is stated for Cay(S_n, T)"
+        )
     aut_order, _ = graph_aut_order(graph, budget)
     stabilizing = aut_snt(T)
     if all(len(g.cycles()) == 1 for g in T.elements):

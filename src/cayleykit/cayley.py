@@ -18,17 +18,19 @@ from __future__ import annotations
 from . import groups
 from .graphs import SimpleGraph
 from .gensets import GeneratorSet, is_split
-from .perms import Permutation
+from .perms import Permutation, compose_maps
 
 
 class CayleyGraph(SimpleGraph):
     """Cay(<T>, T): a SimpleGraph plus the group data behind its vertices.
 
     ``vertex_perm[i]`` is the group element of vertex i (vertex 0 is the
-    identity); ``perm_index`` is the reverse lookup.  The label of edge
-    (u, v), u < v, is read from u: "i+" when v = t_i * u and "i-" when
-    v = t_i^-1 * u; an involution carries only "i+".  Labels of an edge are
-    in generator-index order.
+    identity); ``vertex_of`` is the reverse lookup, through one index keyed
+    by image table.  The label of edge (u, v), u < v, is read from u: "i+"
+    when v = t_i * u and "i-" when v = t_i^-1 * u; an involution carries
+    only "i+".  Labels of an edge are in generator-index order.  Each edge
+    is discovered once per generator, by the product t_i * x at one of its
+    ends: from u it reads "i+", from v it reads "i-".
     """
 
     def __init__(self, generating_set: GeneratorSet, cap: int = 1_000_000):
@@ -38,21 +40,19 @@ class CayleyGraph(SimpleGraph):
         self.vertex_perm = groups.enumerate_elements(
             generating_set.elements, generating_set.degree, cap
         )
-        self.perm_index = {p: i for i, p in enumerate(self.vertex_perm)}
+        self._index = {x._map: i for i, x in enumerate(self.vertex_perm)}
 
-        moves = []
-        for i, t in enumerate(generating_set.elements):
-            moves.append((t, f"{i}+"))
-            t_inv = t.inverse()
-            if t_inv != t:
-                moves.append((t_inv, f"{i}-"))
         labels: dict = {}
-        for u, x in enumerate(self.vertex_perm):
-            for gen, label in moves:
-                v = self.perm_index[gen * x]
-                # each edge is recorded once, from its smaller endpoint
+        for i, t in enumerate(generating_set.elements):
+            plus, minus = f"{i}+", f"{i}-"
+            involution = t == t.inverse()
+            for u, x in enumerate(self._index):
+                v = self._index[compose_maps(t._map, x)]
                 if u < v:
-                    labels[(u, v)] = labels.get((u, v), ()) + (label,)
+                    labels[(u, v)] = labels.get((u, v), ()) + (plus,)
+                elif v < u and not involution:
+                    # u = t_i^-1 * v, seen from the smaller end v
+                    labels[(v, u)] = labels.get((v, u), ()) + (minus,)
         super().__init__(len(self.vertex_perm), labels.keys(), labels)
 
     def label_multiplicity(self, u: int) -> int:
@@ -63,7 +63,7 @@ class CayleyGraph(SimpleGraph):
 
     def vertex_of(self, perm: Permutation) -> int:
         try:
-            return self.perm_index[perm]
+            return self._index[perm._map]
         except KeyError:
             raise ValueError(f"{perm.to_text()} is not a vertex") from None
 

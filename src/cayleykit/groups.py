@@ -14,6 +14,9 @@ but S_n or A_n), and any input on which the pump stalls, fall back to the
 classical deterministic Schreier verification, which is exact for any input.
 Orders are Python integers, so 22! and beyond stay exact.
 
+A transversal entry is the inverse of its coset representative, the one
+table sifting applies; a level generator is kept with its inverse.
+
 Finished chains are immutable in practice and safe to share between threads;
 all queries are pure.
 """
@@ -37,41 +40,42 @@ _PUMP_WARMUP = 30
 class _Level:
     """One chain level: base point, level generators, orbit transversal.
 
-    ``transversal[p]`` holds (u, u^-1) with u mapping the base point to p.
-    ``gens`` holds every strong generator fixing all earlier base points, so
-    the lists are nested level to level as classical Schreier-Sims requires.
+    ``transversal[p]`` holds u^-1 for the coset representative u mapping the
+    base point to p: the table that sifting applies.  Its keys, in insertion
+    order, are the orbit.  ``gens`` holds (g, g^-1) for every strong
+    generator fixing all earlier base points, so the lists are nested level
+    to level as classical Schreier-Sims requires.
     """
 
-    __slots__ = ("point", "gens", "transversal", "_order")
+    __slots__ = ("point", "gens", "transversal")
 
     def __init__(self, point: int, identity: tuple):
         self.point = point
         self.gens: list = []
-        self.transversal: dict = {point: (identity, identity)}
-        self._order: list = [point]
+        self.transversal: dict = {point: identity}
 
-    def add_gen(self, g: tuple) -> None:
-        self.gens.append(g)
-        # Extend the orbit: sweep existing points with the new generator,
-        # then grow the frontier with the full generator list.
-        frontier = []
-        for p in self._order:
+    def add_gen(self, g: tuple, g_inv: tuple) -> None:
+        self.gens.append((g, g_inv))
+        # Sweep the orbit (and the points the sweep adds) with the new
+        # generator, then grow the frontier with every generator.  A new
+        # point q = h[p] gets u_q^-1 = h^-1 * u_p^-1: one product, no inversion.
+        trans = self.transversal
+        orbit = list(trans)
+        start = len(orbit)
+        for p in orbit:
             q = g[p]
-            if q not in self.transversal:
-                u = compose_maps(self.transversal[p][0], g)
-                self.transversal[q] = (u, invert_map(u))
-                self._order.append(q)
-                frontier.append(q)
+            if q not in trans:
+                trans[q] = compose_maps(g_inv, trans[p])
+                orbit.append(q)
+        frontier = orbit[start:]
         while frontier:
             nxt = []
             for p in frontier:
-                up = self.transversal[p][0]
-                for h in self.gens:
+                vp = trans[p]
+                for h, h_inv in self.gens:
                     q = h[p]
-                    if q not in self.transversal:
-                        u = compose_maps(up, h)
-                        self.transversal[q] = (u, invert_map(u))
-                        self._order.append(q)
+                    if q not in trans:
+                        trans[q] = compose_maps(h_inv, vp)
                         nxt.append(q)
             frontier = nxt
 
@@ -107,10 +111,10 @@ class StabilizerChain:
             p = g[level.point]
             if p == level.point:
                 continue
-            entry = level.transversal.get(p)
-            if entry is None:
+            inverse = level.transversal.get(p)
+            if inverse is None:
                 return g, i
-            g = compose_maps(g, entry[1])
+            g = compose_maps(g, inverse)
         return g, len(self._levels)
 
     def _add_element(self, g: tuple, start: int = 0):
@@ -123,8 +127,9 @@ class StabilizerChain:
             self._levels.append(_Level(base_point, self._identity))
         # The residue fixes every base point above its stop level, so it is a
         # level generator for each of those levels as well (nesting).
+        residue_inv = invert_map(residue)
         for j in range(stop + 1):
-            self._levels[j].add_gen(residue)
+            self._levels[j].add_gen(residue, residue_inv)
         return stop
 
     def _pump(self) -> bool:
@@ -189,11 +194,9 @@ class StabilizerChain:
     def _check_level(self, i: int):
         level = self._levels[i]
         for p in sorted(level.transversal):
-            u = level.transversal[p][0]
-            for g in list(level.gens):
-                q = g[p]
-                uq_inv = level.transversal[q][1]
-                schreier = compose_maps(compose_maps(u, g), uq_inv)
+            u = invert_map(level.transversal[p])
+            for g, _ in list(level.gens):
+                schreier = compose_maps(compose_maps(u, g), level.transversal[g[p]])
                 if schreier == self._identity:
                     continue
                 stop = self._add_element(schreier, i + 1)
@@ -213,10 +216,10 @@ class StabilizerChain:
         out = []
         for level in self._levels:
             trans = {
-                p + 1: Permutation._from_zero_based(u)
-                for p, (u, _) in level.transversal.items()
+                p + 1: Permutation._from_zero_based(invert_map(v))
+                for p, v in level.transversal.items()
             }
-            gens = [Permutation._from_zero_based(g) for g in level.gens]
+            gens = [Permutation._from_zero_based(g) for g, _ in level.gens]
             out.append((trans, gens))
         return out
 
@@ -290,8 +293,7 @@ def enumerate_elements(gens: Sequence[Permutation], n: int, cap: int) -> list:
         if g.degree != n:
             raise ValueError(f"generator degree {g.degree} != {n}")
     identity = tuple(range(n))
-    seen = {identity}
-    order: list[tuple] = [identity]
+    seen = {identity: None}
     tables = [g._map for g in gens]
     frontier = [identity]
     while frontier:
@@ -302,8 +304,7 @@ def enumerate_elements(gens: Sequence[Permutation], n: int, cap: int) -> list:
                 if candidate not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(f"group closure exceeds cap {cap}")
-                    seen.add(candidate)
-                    order.append(candidate)
+                    seen[candidate] = None
                     nxt.append(candidate)
         frontier = nxt
-    return [Permutation._from_zero_based(t) for t in order]
+    return [Permutation._from_zero_based(t) for t in seen]

@@ -392,6 +392,24 @@ class TestOrderIdentity:
         report = verify_order_identity(T)
         assert report.n6_caveat
 
+    @pytest.mark.parametrize(
+        "text, order",
+        [("n=4 type=4\n(1 2 4 3)\n", 4), ("n=4 type=3\n(1 2 3)\n(2 3 4)\n", 12)],
+        ids=["cyclic-4", "alternating-4"],
+    )
+    def test_set_not_generating_sn_is_refused(self, text, order, tmp_path, capsys):
+        message = f"<T> has order {order}, not 4! = 24"
+        with pytest.raises(ValueError, match=message) as refusal:
+            verify_order_identity(GeneratorSet.from_text(text))
+        assert "stated for Cay(S_n, T)" in str(refusal.value)
+        gens = tmp_path / "small.gens"
+        gens.write_text(text)
+        assert main(["aut", "--set", str(gens)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert "Traceback" not in captured.err
+
     def test_report_serialization_round(self):
         report = verify_order_identity(PATH5)
         text = report.to_text()

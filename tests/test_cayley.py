@@ -66,6 +66,51 @@ def rotated_path_graph(T, rng):
     return SimpleGraph(T.degree, edges)
 
 
+def random_connection_set(rng):
+    """Elements of one cycle type among 2, 3, 4, 2+2 and 3+2 on 3 to 6
+    points; each element is joined by its inverse with probability 0.3."""
+    n = rng.randint(3, 6)
+    parts = rng.choice([t for t in ((2,), (3,), (4,), (2, 2), (3, 2)) if sum(t) <= n])
+    elements = []
+    for _ in range(rng.randint(1, 3)):
+        points = rng.sample(range(1, n + 1), sum(parts))
+        cycles = [points[sum(parts[:i]):sum(parts[:i + 1])] for i in range(len(parts))]
+        g = Permutation.from_cycles(cycles, n)
+        elements.append(g)
+        if rng.random() < 0.3:
+            elements.append(g.inverse())
+    return GeneratorSet(n, list(dict.fromkeys(elements)), CycleType(list(parts)))
+
+
+def reference_cayley(T):
+    """Oracle from the definition: vertices in breadth-first order of right
+    multiplication by T from the identity; for every vertex x and every s in
+    T u T^-1 the edge {x, s*x}, labelled from its smaller end a by every
+    "i+" with t_i*a = b and "i-" with t_i^-1*a = b (t_i not an involution)."""
+    order = [Permutation.identity(T.degree)]
+    index = {order[0]: 0}
+    for x in order:
+        for t in T.elements:
+            y = x * t
+            if y not in index:
+                index[y] = len(order)
+                order.append(y)
+    moves = []
+    for i, t in enumerate(T.elements):
+        moves.append((t, f"{i}+"))
+        if t.inverse() != t:
+            moves.append((t.inverse(), f"{i}-"))
+    labels = {}
+    for x in order:
+        for s, _ in moves:
+            a, b = sorted((index[x], index[s * x]))
+            if a != b:
+                labels[(a, b)] = tuple(
+                    label for s2, label in moves if s2 * order[a] == order[b]
+                )
+    return order, SimpleGraph(len(order), labels.keys(), labels)
+
+
 class TestBuildCayley:
     def test_s3_pair_is_a_six_cycle(self):
         g = build_cayley(make_set(["(1 2)", "(2 3)"], 3, [2]))
@@ -128,6 +173,23 @@ class TestBuildCayley:
     def test_vertex_order_matches_enumeration(self):
         g = build_cayley(PATH5)
         assert g.vertex_perm == enumerate_elements(PATH5.elements, 5, 1000)
+
+    def test_matches_reference_builder_on_random_sets(self):
+        rng = random.Random(2026)
+        seen = set()
+        for _ in range(220):
+            T = random_connection_set(rng)
+            order, reference = reference_cayley(T)
+            g = build_cayley(T)
+            assert g.vertex_perm == order
+            assert export_edge_list(g) == export_edge_list(reference), T.to_text()
+            inverses = [t.inverse() for t in T.elements]
+            seen.add(T.cycle_type.parts)
+            if any(t != s for t, s in zip(T.elements, inverses)):
+                seen.add("non-involution")
+            if any(s in T.elements and s != t for t, s in zip(T.elements, inverses)):
+                seen.add("t and t^-1")
+        assert seen >= {(2,), (3,), (4,), (2, 2), (3, 2), "non-involution", "t and t^-1"}
 
 
 class TestCycleGraphAndNormality:

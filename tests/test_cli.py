@@ -6,7 +6,7 @@ import pytest
 
 from cayleykit import quasiham
 from cayleykit.cli import main
-from cayleykit.graphs import export_edge_list, petersen_graph, cycle_graph
+from cayleykit.graphs import SimpleGraph, export_edge_list, petersen_graph, cycle_graph
 
 
 def run_cli(args, capsys):
@@ -262,19 +262,44 @@ class TestGraphCommands:
         assert stdout.splitlines()[0] == "k,edges,connected"
         assert "1,5,yes" in stdout
 
-    def test_qh_oracle_guard_fails_before_the_hierarchy(self, capsys, tmp_path, monkeypatch):
-        def hierarchy(graph):
-            raise AssertionError("the hierarchy ran before the oracle guard")
+    def test_qh_check_past_the_oracle_guard(self, capsys, tmp_path, monkeypatch):
+        def oracle(graph):
+            raise AssertionError("the brute oracle ran past its guard")
 
-        monkeypatch.setattr(quasiham, "hamiltonian_via_qh", hierarchy)
-        graph_file = tmp_path / "c13.el"
-        graph_file.write_text(export_edge_list(cycle_graph(13)))
-        code, stdout, stderr = run_cli(
-            ["qh", "--graph", str(graph_file), "--check-hamiltonian"], capsys
-        )
+        monkeypatch.setattr(quasiham, "brute_hamiltonian", oracle)
+        c13 = tmp_path / "c13.el"
+        c13.write_text(export_edge_list(cycle_graph(13)))
+        star = tmp_path / "s4star.gens"
+        star.write_text("n=4 type=2\n(1 2)\n(1 3)\n(1 4)\n")
+        s4star = tmp_path / "s4star.el"
+        code, stdout, _ = run_cli(["cayley", "--set", str(star), "--out", str(s4star)], capsys)
+        assert code == 0 and stdout == "vertices=24 edges=36\n"
+        for graph_file in (c13, s4star):
+            code, stdout, stderr = run_cli(
+                ["qh", "--graph", str(graph_file), "--check-hamiltonian"], capsys
+            )
+            assert code == 0
+            assert stdout == "hamiltonian (oracle skipped above 12 vertices)\n"
+            assert stderr == ""
+
+    def test_qh_check_past_the_guard_reports_non_hamiltonian(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # Petersen with one edge subdivided by three new vertices: 13 vertices,
+        # Hamiltonian only if Petersen had a Hamiltonian cycle through that edge.
+        (a, b), *rest = petersen_graph().edges
+        path = [a, 10, 11, 12, b]
+        graph_file = tmp_path / "petersen13.el"
+        graph_file.write_text(export_edge_list(SimpleGraph(13, rest + list(zip(path, path[1:])))))
+        argv = ["qh", "--graph", str(graph_file), "--check-hamiltonian"]
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert stdout == "non-hamiltonian (oracle skipped above 12 vertices)\n"
+        monkeypatch.setattr(quasiham, "_QH_FORCING_BUDGET", 1)
+        code, stdout, stderr = run_cli(argv, capsys)
         assert code == 1
         assert stdout == ""
-        assert "oracle guarded to 12 vertices" in stderr
+        assert stderr.startswith("error: ") and "hierarchy exceeded 1 forcings" in stderr
+        assert "Traceback" not in stderr
 
     def test_qh_negative_level_is_a_usage_error(self, capsys, tmp_path):
         graph_file = tmp_path / "c5.el"

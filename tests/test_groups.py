@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleykit.errors import CapExceeded
-from cayleykit.gensets import construct_basic_tree, construct_cycle_tree
+from cayleykit.gensets import (
+    construct_basic_tree,
+    construct_cycle_tree,
+    construct_general,
+    extend_tree,
+)
 from cayleykit.groups import (
     StabilizerChain,
     build_chain,
@@ -13,7 +18,7 @@ from cayleykit.groups import (
     generates,
     orbits,
 )
-from cayleykit.perms import Permutation
+from cayleykit.perms import CycleType, Permutation
 
 
 def P(text, n):
@@ -36,62 +41,6 @@ def mulclose(gens, n):
                     new.append(b)
         frontier = new
     return elements
-
-
-class TestBuildChain:
-    def test_transposition_plus_cycle_gives_full_group(self):
-        chain = build_chain([P("(1 2)", 5), P("(2 3 4 5)", 5)], 5)
-        assert chain.order() == 120
-        assert len(mulclose(chain.generators, 5)) == 120
-
-    def test_empty_generators(self):
-        assert build_chain([], 4).order() == 1
-
-    def test_cyclic_group(self):
-        assert build_chain([P("(1 2 3)", 3)], 3).order() == 3
-
-    def test_chain_invariants(self):
-        chain = build_chain([P("(1 2)", 5), P("(2 3 4 5)", 5)], 5)
-        product = 1
-        for point, (transversal, gens) in zip(chain.base, chain.levels):
-            product *= len(transversal)
-            for target, representative in transversal.items():
-                assert representative(point) == target
-        assert product == chain.order()
-
-    def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            build_chain([P("(1 2)", 3)], 4)
-
-
-class TestPump:
-    """The product-replacement pump alone certifies S_n on sets whose
-    correlated state-word sifting used to stall into the Schreier check."""
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            pytest.param(lambda: construct_cycle_tree(4, 22), id="4@22"),
-            pytest.param(lambda: construct_cycle_tree(4, 30), id="4@30"),
-            *(pytest.param(lambda n=n: construct_cycle_tree(6, n), id=f"6@{n}")
-              for n in range(17, 22)),
-            pytest.param(lambda: construct_basic_tree(3), id="2,2,2@22"),
-            pytest.param(lambda: construct_basic_tree(5), id="basic-k5@56"),
-        ],
-    )
-    def test_certifies_symmetric_group_without_fallback(self, make, monkeypatch):
-        def no_fallback(self):
-            raise AssertionError("the pump fell back to the Schreier check")
-
-        monkeypatch.setattr(StabilizerChain, "_verify_schreier", no_fallback)
-        T = make()
-        assert build_chain(T.elements, T.degree).order() == math.factorial(T.degree)
-
-    def test_generates_reuses_a_built_chain(self, monkeypatch):
-        gens = [P("(1 2)", 4), P("(2 3)", 4), P("(3 4)", 4)]
-        chain = build_chain(gens, 4)
-        monkeypatch.setattr("cayleykit.groups.build_chain", None)
-        assert generates(gens, 4, chain) == "symmetric"
 
 
 def random_group_generators(rng, n):
@@ -128,14 +77,107 @@ def random_group_generators(rng, n):
     return kind, gens
 
 
+def random_group_corpus():
+    """The seeded corpus of (n, kind, tables): 160 groups of degree 3-9, 111
+    of which reach the Schreier fallback."""
+    rng = random.Random(2024)
+    corpus = []
+    for _ in range(160):
+        n = rng.randint(3, 9)
+        corpus.append((n, *random_group_generators(rng, n)))
+    return corpus
+
+
+# One member of each construction family, as `cayleykit construct` builds it.
+FAMILY_MEMBERS = (("4", 22), ("6", 17), ("2,2,2", 22), ("2,3", 16), ("2,3,3", 36), ("2,4,4", 50))
+
+
+def family_member(text, n):
+    cycle_type = CycleType.from_text(text)
+    if cycle_type.k == 1:
+        T = construct_cycle_tree(cycle_type.parts[0], n)
+    elif set(cycle_type.parts) == {2}:
+        T = extend_tree(construct_basic_tree(cycle_type.k), cycle_type, n)
+    else:
+        T = extend_tree(construct_general(cycle_type), cycle_type, n)
+    return T.elements, n
+
+
+class TestBuildChain:
+    def test_transposition_plus_cycle_gives_full_group(self):
+        chain = build_chain([P("(1 2)", 5), P("(2 3 4 5)", 5)], 5)
+        assert chain.order() == 120
+        assert len(mulclose(chain.generators, 5)) == 120
+
+    def test_empty_generators(self):
+        assert build_chain([], 4).order() == 1
+
+    def test_cyclic_group(self):
+        assert build_chain([P("(1 2 3)", 3)], 3).order() == 3
+
+    @pytest.mark.parametrize(
+        "gens, n",
+        [pytest.param([P("(1 2)", 5), P("(2 3 4 5)", 5)], 5, id="S5")]
+        + [pytest.param(*family_member(text, n), id=f"{text}@{n}")
+           for text, n in FAMILY_MEMBERS]
+        + [pytest.param([Permutation._from_zero_based(tuple(t)) for t in tables], n,
+                        id=f"{i}-{kind}-{n}")
+           for i, (n, kind, tables) in enumerate(random_group_corpus())],
+    )
+    def test_chain_invariants(self, gens, n):
+        chain = build_chain(gens, n)
+        product = 1
+        for depth, (point, (transversal, level_gens)) in enumerate(
+            zip(chain.base, chain.levels)
+        ):
+            product *= len(transversal)
+            for target, representative in transversal.items():
+                assert representative(point) == target
+            for g in level_gens:
+                assert all(g(earlier) == earlier for earlier in chain.base[:depth])
+        assert product == chain.order()
+        assert all(chain.contains(g) for g in gens)
+
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError):
+            build_chain([P("(1 2)", 3)], 4)
+
+
+class TestPump:
+    """The product-replacement pump alone certifies S_n on sets whose
+    correlated state-word sifting used to stall into the Schreier check."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: construct_cycle_tree(4, 22), id="4@22"),
+            pytest.param(lambda: construct_cycle_tree(4, 30), id="4@30"),
+            *(pytest.param(lambda n=n: construct_cycle_tree(6, n), id=f"6@{n}")
+              for n in range(17, 22)),
+            pytest.param(lambda: construct_basic_tree(3), id="2,2,2@22"),
+            pytest.param(lambda: construct_basic_tree(5), id="basic-k5@56"),
+        ],
+    )
+    def test_certifies_symmetric_group_without_fallback(self, make, monkeypatch):
+        def no_fallback(self):
+            raise AssertionError("the pump fell back to the Schreier check")
+
+        monkeypatch.setattr(StabilizerChain, "_verify_schreier", no_fallback)
+        T = make()
+        assert build_chain(T.elements, T.degree).order() == math.factorial(T.degree)
+
+    def test_generates_reuses_a_built_chain(self, monkeypatch):
+        gens = [P("(1 2)", 4), P("(2 3)", 4), P("(3 4)", 4)]
+        chain = build_chain(gens, 4)
+        monkeypatch.setattr("cayleykit.groups.build_chain", None)
+        assert generates(gens, 4, chain) == "symmetric"
+
+
 class TestSympyOracle:
     def test_orders_and_verdicts_match_sympy(self):
         combinatorics = pytest.importorskip("sympy.combinatorics")
-        rng = random.Random(2024)
         kinds = set()
-        for _ in range(160):
-            n = rng.randint(3, 9)
-            kind, tables = random_group_generators(rng, n)
+        for n, kind, tables in random_group_corpus():
             kinds.add(kind)
             gens = [Permutation._from_zero_based(tuple(t)) for t in tables]
             oracle = combinatorics.PermutationGroup(
