@@ -15,7 +15,9 @@ is needed.  Every returned automorphism is verified edge-preserving before
 it is trusted.
 
 The search is single-threaded and deterministic; the generator list is
-canonically sorted, so results do not depend on scheduling.
+canonically sorted, so results do not depend on scheduling.  numpy is
+imported inside the search methods that use it, so ``import cayleykit``
+stays numpy-free.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import BudgetExceeded
 from .cayley import CayleyGraph, build_cayley, count_4cycles_through, cycle_graph_of, is_normal
@@ -73,6 +73,8 @@ class _AutSearch:
     """
 
     def __init__(self, graph: SimpleGraph):
+        import numpy as np
+
         n = self.n = graph.vertex_count
         adj = graph.adjacency
         count = {e: count_4cycles_through(graph, e) for e in graph.edges}
@@ -114,6 +116,8 @@ class _AutSearch:
         colors at most 2n, so the codes fit int64 on any graph that fits in
         memory.
         """
+        import numpy as np
+
         colors = np.asarray(colors, dtype=np.int64)
         n, width = self.n, self.width
         keys = np.empty((width + 1, n), dtype=np.int64)  # primary key last
@@ -143,6 +147,8 @@ class _AutSearch:
     def _extend(self, level: int, tgt: np.ndarray) -> Optional[tuple]:
         """An automorphism taking ``path[level]`` to the refined coloring
         ``tgt``, or None; ``tgt`` follows the path's cells down to a leaf."""
+        import numpy as np
+
         if not np.array_equal(np.sort(tgt), self.signatures[level]):
             return None
         src = self.path[level]
@@ -165,6 +171,8 @@ class _AutSearch:
 
     def run(self) -> tuple:
         """Returns (order, generator mappings)."""
+        import numpy as np
+
         gens: list = []
         order = 1
         for level, b in enumerate(self.base):

@@ -2,8 +2,9 @@
 
 Subcommands: construct, verify, cayley, aut, qh, spectrum, prime.  Exit
 codes: 0 on success, 2 when a verification fails (an order identity or an
-oracle comparison), 1 on usage errors.  Output is deterministic for fixed
-inputs and seed; seeds are echoed in report headers where randomness exists.
+oracle comparison), 1 on usage errors and on inputs too large for memory.
+Output is deterministic for fixed inputs and seed; seeds are echoed in
+report headers where randomness exists.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from typing import Optional
 
 from . import gensets, numth, quasiham, spectral
 from .cayley import build_cayley
-from .automorphisms import verify_order_identity
+from .automorphisms import graph_aut_order, verify_order_identity
 from .errors import CayleykitError
 from .graphs import export_dot, export_edge_list, import_edge_list
 from .groups import build_chain, generates, orbits
@@ -135,8 +137,6 @@ def cmd_cayley(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    import time
-
     started = time.perf_counter()
     if args.set:
         T = gensets.GeneratorSet.from_text(_read(args.set))
@@ -147,8 +147,6 @@ def cmd_aut(args) -> int:
             text += f"elapsed_seconds={time.perf_counter() - started:.3f}\n"
         _write(text, args.out)
         return 0 if report.identity_holds else VERIFICATION_FAILURE
-    from .automorphisms import graph_aut_order
-
     graph = _load_graph(args.graph)
     order, gens = graph_aut_order(graph, budget=args.budget)
     print(f"vertices={graph.vertex_count}")
@@ -273,6 +271,10 @@ def main(argv=None) -> int:
     except (CayleykitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError:
+        pass  # report below, once the traceback has released the frames holding the memory
+    print(f"error: out of memory in {args.command}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

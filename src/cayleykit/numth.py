@@ -100,11 +100,15 @@ def prime_one_mod(m: int) -> int:
 
     Phi_m(m) = 1 (mod m), so no prime factor divides m and every prime factor
     lies in the 1 (mod m) class; trial division restricted to that class is
-    complete.  RangeError once the scan's work passes _SCAN_WORK.
+    complete.  A prime value is its own smallest prime factor, so values in
+    the witness range are tested for primality before any scan.  RangeError
+    once the scan's work passes _SCAN_WORK.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     value = cyclotomic_eval(m, m)
+    if value < _MR_LIMIT and is_prime(value):
+        return value
     max_steps = _SCAN_WORK // value.bit_length()
     q = m + 1
     steps = 0

@@ -8,15 +8,14 @@ eigenvalue costs no extra passes.  Iteration order is fixed and the start
 block comes from a seeded generator, so results are reproducible; every
 reported eigenvalue is the Rayleigh quotient of a unit vector v and carries
 the residual certificate ||Mv - lambda v|| <= tol.  numpy supplies array
-storage and arithmetic only.
+storage and arithmetic only; it is imported inside the functions that use
+it, so ``import cayleykit`` stays numpy-free.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError
 
@@ -59,6 +58,8 @@ def jacobi_eigensystem(M: np.ndarray, tol: float = 1e-10) -> tuple:
     Sweeps rotate away off-diagonal entries in fixed row order until the
     off-diagonal norm drops below tol times the matrix norm.
     """
+    import numpy as np
+
     A = np.array(M, dtype=float)
     n = A.shape[0]
     V = np.eye(n)
@@ -107,6 +108,8 @@ class _SparseOperator:
     segmented sum over the remaining neighbors of higher-degree vertices."""
 
     def __init__(self, graph, kind: str):
+        import numpy as np
+
         adj = graph.adjacency
         self.n = graph.vertex_count
         self.kind = kind
@@ -122,6 +125,8 @@ class _SparseOperator:
 
     def apply(self, X: np.ndarray, shift: float = 0.0) -> np.ndarray:
         """(M - shift I) X."""
+        import numpy as np
+
         out = np.zeros_like(X)
         for slot in self.slots:
             out += np.take(X, slot, axis=0)
@@ -139,6 +144,8 @@ def _rayleigh_ritz(op: _SparseOperator, X: np.ndarray) -> tuple:
     """Ritz pairs of the orthonormal block X, descending: (values, vectors,
     residual norms).  Each value is the Rayleigh quotient of its normalized
     vector, not the Jacobi diagonal, so it carries the vector's accuracy."""
+    import numpy as np
+
     MX = op.apply(X)
     _, S = jacobi_eigensystem(X.T @ MX, tol=_RITZ_TOL)
     X, MX = X @ S, MX @ S
@@ -208,6 +215,8 @@ def spectrum_topk(graph, kind: str = "adjacency", k: int = 1,
     spectrum from the Gershgorin lower bound up to a cut below the k-th Ritz
     value.  A ConvergenceError is raised when the iteration budget runs out.
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
     if kind not in ("adjacency", "laplacian"):

@@ -1,18 +1,32 @@
+import importlib
+import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cayleykit import quasiham
+from cayleykit import cli, quasiham
 from cayleykit.cli import main
 from cayleykit.graphs import SimpleGraph, export_edge_list, petersen_graph, cycle_graph
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(script, *args):
+    """stdout of ``script`` run in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 class TestConstruct:
@@ -71,6 +85,19 @@ class TestVerify:
         assert "order=1124000727777607680000" in stdout
         assert "split=yes" in stdout
         assert "balanced=yes" in stdout
+
+    def test_out_of_memory_is_an_error_line(self, capsys, tmp_path, monkeypatch):
+        gens = tmp_path / "set.gens"
+        run_cli(["construct", "--type", "2,2,2", "--n", "22", "--out", str(gens)], capsys)
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_chain", exhausted)
+        code, stdout, stderr = run_cli(["verify", str(gens)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: out of memory in verify\n"
 
     def test_empty_set_has_order_one(self, capsys, tmp_path):
         gens = tmp_path / "empty.gens"
@@ -370,3 +397,52 @@ class TestDeterminism:
             )
             assert result.returncode == 0, command
             assert result.stdout
+
+
+class TestColdStart:
+    """numpy loads only for the subcommands that use it; each check starts a
+    fresh interpreter, as a CLI run does."""
+
+    def test_numpy_loads_only_for_spectrum(self, tmp_path):
+        gens = tmp_path / "b3.gens"
+        path4 = tmp_path / "path4.gens"
+        path4.write_text("n=4 type=2\n(1 2)\n(2 3)\n(3 4)\n")
+        ring = tmp_path / "c6.txt"
+        ring.write_text(export_edge_list(cycle_graph(6)))
+        runs = [
+            ["construct", "--type", "2,2,2", "--n", "22", "--out", str(gens)],
+            ["verify", str(gens)],
+            ["prime", "--m", "6"],
+            ["cayley", "--set", str(path4), "--out", str(tmp_path / "path4.txt")],
+            ["qh", "--graph", str(ring)],
+            ["spectrum", "--graph", str(ring)],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from cayleykit.cli import main\n"
+            "loaded = [[None, 'numpy' in sys.modules]]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    loaded.append([code, 'numpy' in sys.modules])\n"
+            "print(json.dumps(loaded))\n"
+        )
+        loaded = json.loads(run_fresh(script, json.dumps(runs)))
+        assert loaded == [[None, False]] + [[0, False]] * 5 + [[0, True]]
+
+    def test_cli_import_loads_every_module_the_tracer_patches(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        tracing = importlib.import_module("tracing")
+        patched = {f"cayleykit.{entry[0]}" for entry in tracing.SPANS + tracing.COUNTED}
+        script = "import json, sys, cayleykit.cli; print(json.dumps(sorted(sys.modules)))"
+        assert patched <= set(json.loads(run_fresh(script)))
+
+    def test_numpy_users_import_from_the_package(self):
+        script = (
+            "import sys\n"
+            "from cayleykit import cycle_graph, graph_aut_order, spectrum_topk, verify_order_identity\n"
+            "assert 'numpy' not in sys.modules\n"
+            "ring = cycle_graph(5)\n"
+            "print(graph_aut_order(ring)[0], round(spectrum_topk(ring).eigenvalues[0], 9))\n"
+        )
+        assert run_fresh(script) == "10 2.0\n"

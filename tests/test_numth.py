@@ -69,6 +69,8 @@ class TestPrimeOneMod:
         assert prime_one_mod(4) == 17
         assert prime_one_mod(2) == 3
         assert prime_one_mod(6) == 31
+        # Phi_19(19) is prime: it answers without a scan up to its square root
+        assert prime_one_mod(19) == cyclotomic_eval(19, 19) == 109912203092239643840221
 
     def test_divisor_prime_and_residue_for_range(self):
         for m in range(2, 17):
@@ -91,9 +93,26 @@ class TestPrimeOneMod:
     def test_out_of_budget(self):
         # Phi_20000(20000) has 114,000 bits, so the budget stops its scan
         # after a few thousand steps, not ten million
-        for m in (19, 31, 20000):
+        for m in (31, 20000):
             with pytest.raises(RangeError):
                 prime_one_mod(m)
+
+    def test_least_prime_factor_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        answered = 0
+        for m in range(2, 61):
+            try:
+                p = prime_one_mod(m)
+            except RangeError:
+                continue
+            answered += 1
+            value = cyclotomic_eval(m, m)
+            # p is min(sympy.primefactors(value)): a prime divisor with no
+            # prime below it dividing value (sieved, not the 1 mod m class)
+            assert sympy.isprime(p) and value % p == 0, m
+            if p < value:
+                assert not any(value % q == 0 for q in sympy.sieve.primerange(2, p)), m
+        assert answered == 55  # 31, 44, 46 and 57 stop on the effort bound
 
     def test_smallest_prime_in_class(self):
         assert smallest_prime_one_mod(2) == 3
