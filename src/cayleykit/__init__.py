@@ -15,6 +15,7 @@ from .gensets import (
     BalanceCertificate,
     GeneratorSet,
     brute_force_f,
+    construct,
     construct_basic_tree,
     construct_cycle_pair,
     construct_cycle_tree,

@@ -55,46 +55,18 @@ def _load_graph(path: str):
 
 def cmd_construct(args) -> int:
     cycle_type = CycleType.from_text(args.type)
-    c = cycle_type.c_value
-    if c % 2 == 0:
-        print(
-            f"error: c(A) = {c} is even, so sets of type ({cycle_type}) "
-            "contain only even permutations and cannot generate the symmetric group",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    if cycle_type.k == 1:
-        k = cycle_type.parts[0]
-        threshold = 2 * k - 1
-        if args.n < threshold:
-            print(f"error: smallest supported degree for type ({cycle_type}) is {threshold}",
-                  file=sys.stderr)
-            return USAGE_ERROR
-        T = gensets.construct_cycle_tree(k, args.n)
-        plan = None
-    else:
-        plan = gensets.general_plan(cycle_type)
-        if set(cycle_type.parts) == {2}:
-            base = gensets.construct_basic_tree(cycle_type.k)
-            threshold = base.degree
-        else:
-            base = gensets.construct_general(cycle_type)
-            threshold = plan.degree
-        if args.n < threshold:
-            print(f"error: smallest supported degree for type ({cycle_type}) is {threshold}",
-                  file=sys.stderr)
-            return USAGE_ERROR
-        T = gensets.extend_tree(base, cycle_type, args.n)
+    T = gensets.construct(cycle_type, args.n)
     bound = gensets.f_lower_bound(cycle_type, args.n)
     _write(T.to_text(), args.out)
     print(f"type=({cycle_type}) n={args.n} size={len(T)} lower_bound={bound}")
-    if plan is not None:
+    if cycle_type.k == 1:
+        print(f"threshold report: smallest supported degree {2 * cycle_type.parts[0] - 1}")
+    else:
+        plan = gensets.general_plan(cycle_type)
         print(
             f"threshold report: construction degree {plan.degree} "
             f"(p={plan.p}, m={plan.m}); worst-case bound {plan.phi_bound}"
         )
-    else:
-        print(f"threshold report: smallest supported degree {2 * cycle_type.parts[0] - 1}")
     return 0
 
 
@@ -184,8 +156,8 @@ def cmd_qh(args) -> int:
 
 def cmd_spectrum(args) -> int:
     graph = _load_graph(args.graph)
-    print(f"# seed={args.seed}")
     report = spectral.spectrum_topk(graph, args.kind, k=args.top, tol=args.tol, seed=args.seed)
+    print(f"# seed={args.seed}")
     _write(report.to_csv(), args.out)
     return 0
 

@@ -48,9 +48,6 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GeneratorSet)
@@ -253,16 +250,8 @@ def construct_cycle_tree(k: int, n: int) -> GeneratorSet:
     if n < 2 * k - 1:
         raise ValueError(f"cycle trees need n >= {2 * k - 1}, got {n}")
     count = -(-(n - 1) // (k - 1))
-    cycles = []
-    for i in range(count - 1):
-        start = i * (k - 1) + 1
-        cycles.append(tuple(range(start, start + k)))
-    if (n - 1) % (k - 1) == 0:
-        start = (count - 1) * (k - 1) + 1
-        cycles.append(tuple(range(start, start + k)))
-    else:
-        cycles.append(tuple(range(n - k + 1, n + 1)))
-    elements = [Permutation.from_cycles([c], n) for c in cycles]
+    starts = [min(i * (k - 1) + 1, n - k + 1) for i in range(count)]
+    elements = [Permutation.from_cycles([tuple(range(s, s + k))], n) for s in starts]
     return GeneratorSet(n, elements, CycleType([k]))
 
 
@@ -487,6 +476,33 @@ def extend_tree(T: GeneratorSet, cycle_type: CycleType, n_target: int) -> Genera
         covered += fresh_needed
         elements.append(Permutation.from_cycles(cycles, n_target))
     return GeneratorSet(n_target, elements, cycle_type)
+
+
+def construct(cycle_type: CycleType, n: int) -> GeneratorSet:
+    """The set ``cayleykit construct`` prints: the cycle tree for one part, else
+    the basic tree (all parts 2) or the general construction, extended to n.
+    Raises ParityError for even c(A), ValueError below the family's degree."""
+    c = cycle_type.c_value
+    if c % 2 == 0:
+        raise ParityError(
+            f"c(A) = {c} is even, so sets of type ({cycle_type}) "
+            "contain only even permutations and cannot generate the symmetric group"
+        )
+    if cycle_type.k == 1:
+        k = cycle_type.parts[0]
+        _check_degree(cycle_type, n, 2 * k - 1)
+        return construct_cycle_tree(k, n)
+    if set(cycle_type.parts) == {2}:
+        base = construct_basic_tree(cycle_type.k)
+    else:
+        base = construct_general(cycle_type)
+    _check_degree(cycle_type, n, base.degree)
+    return extend_tree(base, cycle_type, n)
+
+
+def _check_degree(cycle_type: CycleType, n: int, smallest: int) -> None:
+    if n < smallest:
+        raise ValueError(f"smallest supported degree for type ({cycle_type}) is {smallest}")
 
 
 def _fresh_distribution(parts_asc: list, fresh: int) -> list:

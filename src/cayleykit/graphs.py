@@ -1,10 +1,10 @@
 """Undirected graphs with optional edge labels, deterministic serialization,
 and small factories.
 
-Vertices are 0-based integers.  A graph is its sorted edge tuple, the sorted
-neighbor lists built from it, and an ``edge_labels`` dict (empty when the
-graph is unlabeled); Cayley graphs are the labeled subclass.  The edge-list
-format is::
+Vertices are 0-based integers.  A graph is its sorted edge tuple, the
+neighbor lists built from it in edge order (which leaves them sorted), and an
+``edge_labels`` dict (empty when the graph is unlabeled); Cayley graphs are
+the labeled subclass.  The edge-list format is::
 
     vertices=<count>
     u v [label1[,label2...]]
@@ -43,13 +43,14 @@ class SimpleGraph:
 
     @property
     def adjacency(self) -> list:
-        """Sorted neighbor lists, built lazily."""
+        """Sorted neighbor lists, built lazily: ``edges`` is sorted, so vertex w
+        gets its smaller neighbours u from edges (u, w) first, in ascending
+        order, then its larger ones v from edges (w, v)."""
         if self._adj is None:
-            adj: list = [[] for _ in range(self.vertex_count)]
+            self._adj = [[] for _ in range(self.vertex_count)]
             for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adj = [sorted(nbrs) for nbrs in adj]
+                self._adj[u].append(v)
+                self._adj[v].append(u)
         return self._adj
 
     def degree(self, v: int) -> int:
@@ -154,10 +155,10 @@ _DOT_PALETTE = (
 )
 
 
-def export_dot(graph: SimpleGraph, name: str = "G") -> str:
+def export_dot(graph: SimpleGraph) -> str:
     """Graphviz DOT text with one color class per generator index."""
     labels = graph.edge_labels
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(graph.vertex_count):
         lines.append(f"  {v};")
     for u, v in graph.edges:

@@ -114,18 +114,6 @@ class Permutation:
             )
         return Permutation._from_zero_based(compose_maps(self._map, other._map))
 
-    def __pow__(self, exponent: int) -> "Permutation":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Permutation.identity(self.degree)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def inverse(self) -> "Permutation":
         return Permutation._from_zero_based(invert_map(self._map))
 

@@ -479,24 +479,6 @@ def brute_hamiltonian(graph: SimpleGraph) -> bool:
 # -- the quasi-hamiltonicity hierarchy ----------------------------------------
 
 
-def _is_one_cycle(factor: frozenset, vertex_count: int) -> bool:
-    """Whether the cycle factor ``factor`` is one spanning cycle: one walk
-    from vertex 0 around its cycle, counting the vertices passed.  The
-    empty factor of the empty graph is no cycle."""
-    if not factor:
-        return False
-    neighbours: list = [[] for _ in range(vertex_count)]
-    for u, v in factor:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    previous, current, length = 0, neighbours[0][0], 1
-    while current != 0:
-        a, b = neighbours[current]
-        previous, current = current, b if a == previous else a
-        length += 1
-    return length == vertex_count
-
-
 class QuasiHamiltonian:
     """Memoized evaluation of the recursive edge sets QH_k(G, R).
 
@@ -545,8 +527,9 @@ class QuasiHamiltonian:
 
     def _keep(self, factor: frozenset) -> frozenset:
         """Keep the cycle factor ``factor`` as a witness when it is one
-        spanning cycle; returns it."""
-        if factor not in self.witnesses and _is_one_cycle(factor, self.graph.vertex_count):
+        spanning cycle; returns it.  A cycle factor spans the graph and is
+        2-regular, so it is one cycle exactly when it has one component."""
+        if factor not in self.witnesses and self._spanning_connected(factor):
             self.witnesses.add(CycleFactor.validate(factor, self.graph).edges)
         return factor
 

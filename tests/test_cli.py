@@ -9,7 +9,7 @@ import pytest
 
 from cayleykit import cli, quasiham
 from cayleykit.cli import main
-from cayleykit.graphs import SimpleGraph, export_edge_list, petersen_graph, cycle_graph
+from cayleykit.graphs import SimpleGraph, export_edge_list, path_graph, petersen_graph, cycle_graph
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,6 +57,13 @@ class TestConstruct:
         code, _, stderr = run_cli(["construct", "--type", "4", "--n", "5"], capsys)
         assert code == 1
         assert "7" in stderr
+
+    @pytest.mark.parametrize("text, n, named", [("2,2,2", 21, "(2,2,2) is 22"),
+                                                 ("2,3", 15, "(3,2) is 16")])
+    def test_multi_part_below_threshold_names_the_minimum(self, capsys, text, n, named):
+        code, stdout, stderr = run_cli(["construct", "--type", text, "--n", str(n)], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: smallest supported degree for type {named}\n"
 
     def test_usage_error(self, capsys):
         assert run_cli(["construct", "--type", "2,2,2"], capsys)[0] == 1
@@ -200,6 +207,58 @@ class TestGraphCommands:
         assert "graph_aut_order=240" in stdout
         assert "identity_holds=yes" in stdout
 
+    def test_aut_identity_report_on_the_s6_path(self, capsys, tmp_path):
+        gens = tmp_path / "path6.gens"
+        gens.write_text("n=6 type=2\n" + "".join(f"({i} {i + 1})\n" for i in range(1, 6)))
+        code, stdout, _ = run_cli(["aut", "--set", str(gens)], capsys)
+        assert code == 0
+        assert stdout.endswith("caveat=outer automorphisms of S_6 not searched\n")
+        code, stdout, _ = run_cli(["aut", "--set", str(gens), "--format", "csv"], capsys)
+        assert code == 0
+        assert stdout.splitlines()[1] == "6,5,1,1440,2,720,1,2,1"
+
+    def test_aut_report_of_a_set_of_two_cycle_products(self, capsys, tmp_path):
+        gens = tmp_path / "mixed5.gens"
+        gens.write_text("n=5 type=2,3\n(1 2)(3 4 5)\n(1 3)(2 4 5)\n")
+        code, stdout, _ = run_cli(["aut", "--set", str(gens)], capsys)
+        assert code == 0
+        lines = stdout.splitlines()
+        assert "normal=no" in lines
+        assert "normal_note=elements are not single cycles" in lines
+        assert "graph_aut_order=480" in lines
+        assert "aut_snt_order=4" in lines
+        assert "cyc_aut_order=n/a" in lines
+
+    def test_mixed_five_point_set_by_brute_force(self):
+        # S_5 has only inner automorphisms: Aut(S_5, T) is the set of
+        # conjugations by elements of S_5 that map S = T u T^-1 onto itself
+        from itertools import permutations
+
+        def compose(a, b):  # apply a, then b
+            return tuple(b[a[x]] for x in range(5))
+
+        def inverse(a):
+            out = [0] * 5
+            for x, y in enumerate(a):
+                out[y] = x
+            return tuple(out)
+
+        T = {(1, 0, 3, 4, 2), (2, 3, 0, 4, 1)}  # (1 2)(3 4 5), (1 3)(2 4 5), 0-based
+        S = T | {inverse(t) for t in T}
+        assert sum(
+            {compose(compose(inverse(s), t), s) for t in S} == S for s in permutations(range(5))
+        ) == 4
+        # a Cayley graph is vertex-transitive: |Aut| = 120 * |stabilizer of e|
+        nx = pytest.importorskip("networkx")
+        graph = nx.Graph()
+        for g in permutations(range(5)):
+            for t in T:
+                graph.add_edge(g, compose(t, g))
+        identity = tuple(range(5))
+        nx.set_node_attributes(graph, {g: g == identity for g in graph}, "root")
+        stabilizer = sum(1 for _ in nx.vf2pp_all_isomorphisms(graph, graph, node_label="root"))
+        assert 120 * stabilizer == 480
+
     def test_aut_on_plain_graph(self, capsys, tmp_path):
         graph_file = tmp_path / "c6.el"
         graph_file.write_text(export_edge_list(cycle_graph(6)))
@@ -271,6 +330,16 @@ class TestGraphCommands:
                 )
                 assert code == 1
                 assert "tol must be positive and finite" in stderr
+
+    def test_spectrum_failure_prints_no_header(self, capsys, tmp_path, monkeypatch):
+        from cayleykit import spectral
+
+        graph_file = tmp_path / "p200.el"
+        graph_file.write_text(export_edge_list(path_graph(200)))
+        monkeypatch.setattr(spectral, "_MAX_ITERATIONS", 1)
+        code, stdout, stderr = run_cli(["spectrum", "--graph", str(graph_file)], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: block iteration stalled at residual")
 
     def test_qh_hamiltonian_check(self, capsys, tmp_path):
         graph_file = tmp_path / "pet.el"

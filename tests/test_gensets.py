@@ -10,6 +10,7 @@ from cayleykit.errors import BudgetExceeded, NoCircuit, ParityError
 from cayleykit.gensets import (
     GeneratorSet,
     brute_force_f,
+    construct,
     construct_basic_tree,
     construct_cycle_pair,
     construct_cycle_tree,
@@ -251,6 +252,63 @@ class TestCycleTree:
             T = construct_cycle_tree(k, n)
             assert len(T) == -(-(n - 1) // (k - 1))
             assert order_of(T) == math.factorial(n)
+
+
+def two_branch_cycle_tree(k, n):
+    """The cycle tree's supports by the loop-plus-last-cycle rule it replaced."""
+    count = -(-(n - 1) // (k - 1))
+    starts = [i * (k - 1) + 1 for i in range(count - 1)]
+    if (n - 1) % (k - 1) == 0:
+        starts.append((count - 1) * (k - 1) + 1)
+    else:
+        starts.append(n - k + 1)
+    return [set(range(start, start + k)) for start in starts]
+
+
+class TestCycleTreeStartRule:
+    def test_matches_the_two_branch_rule(self):
+        for k in range(2, 11, 2):
+            for n in range(2 * k - 1, 121):
+                assert construct_cycle_tree(k, n).supports() == two_branch_cycle_tree(k, n), (k, n)
+
+
+class TestConstruct:
+    """``construct`` picks the family; each case is pinned to explicit builder calls."""
+
+    @pytest.mark.parametrize(
+        "text, n, build",
+        [
+            ("4", 7, lambda: construct_cycle_pair(4)),
+            ("6", 17, lambda: construct_cycle_tree(6, 17)),
+            ("2", 9, lambda: construct_cycle_tree(2, 9)),
+            ("2,2,2", 22, lambda: construct_basic_tree(3)),
+            ("2,2,2", 25, lambda: extend_tree(construct_basic_tree(3), CycleType([2, 2, 2]), 25)),
+            ("2,4,4", 50, lambda: construct_general(CycleType([2, 4, 4]))),
+            ("2,3", 19,
+             lambda: extend_tree(construct_general(CycleType([2, 3])), CycleType([2, 3]), 19)),
+        ],
+    )
+    def test_family_choice(self, text, n, build):
+        assert construct(CycleType.from_text(text), n) == build()
+
+    def test_even_count_refused(self):
+        with pytest.raises(ParityError) as caught:
+            construct(CycleType([2, 4, 5]), 57)
+        assert str(caught.value) == (
+            "c(A) = 8 is even, so sets of type (5,4,2) contain only even permutations"
+            " and cannot generate the symmetric group"
+        )
+
+    @pytest.mark.parametrize("parts, n, smallest",
+                             [([4], 6, 7), ([2, 2, 2], 21, 22), ([2, 3], 15, 16)])
+    def test_below_the_smallest_degree(self, parts, n, smallest):
+        cycle_type = CycleType(parts)
+        with pytest.raises(ValueError) as caught:
+            construct(cycle_type, n)
+        assert str(caught.value) == (
+            f"smallest supported degree for type ({cycle_type}) is {smallest}"
+        )
+        assert construct(cycle_type, smallest).degree == smallest
 
 
 class TestEulerianCircuit:

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleykit.errors import CapExceeded
-from cayleykit.gensets import (
-    construct_basic_tree,
-    construct_cycle_tree,
-    construct_general,
-    extend_tree,
-)
+from cayleykit.gensets import construct, construct_basic_tree, construct_cycle_tree
 from cayleykit.groups import (
     StabilizerChain,
     build_chain,
@@ -93,14 +88,7 @@ FAMILY_MEMBERS = (("4", 22), ("6", 17), ("2,2,2", 22), ("2,3", 16), ("2,3,3", 36
 
 
 def family_member(text, n):
-    cycle_type = CycleType.from_text(text)
-    if cycle_type.k == 1:
-        T = construct_cycle_tree(cycle_type.parts[0], n)
-    elif set(cycle_type.parts) == {2}:
-        T = extend_tree(construct_basic_tree(cycle_type.k), cycle_type, n)
-    else:
-        T = extend_tree(construct_general(cycle_type), cycle_type, n)
-    return T.elements, n
+    return construct(CycleType.from_text(text), n).elements, n
 
 
 class TestBuildChain:
