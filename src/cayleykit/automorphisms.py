@@ -3,16 +3,26 @@ connection set T u T^-1, and the semidirect-product order identity report.
 
 The graph search is individualization-refinement: vertices are colored by an
 equitable refinement whose signatures mix neighbor colors with per-edge
-4-cycle counts (cheap and highly discriminating on these graphs).
-Refinement is one array pass per round over a CSR (neighbour, 4-cycle count)
-table built once per search: each round sorts every vertex's encoded
-neighbour codes and ranks the vertex keys with one lexsort.  The first
-path of individualized base points is refined once; the backtracking search
-refines only target colorings, pruning candidate images by the orbits of the
-automorphisms already found.  The returned order is the product of the
-base-point orbit sizes, so no separate stabilizer chain over the vertex set
-is needed.  Every returned automorphism is verified edge-preserving before
-it is trusted.
+4-cycle counts (cheap and highly discriminating on these graphs; on a
+Cayley graph every edge takes the count at the identity edge of its first
+label's generator, so only |T| edges are counted).  Refinement is one array
+pass per round over a CSR (neighbour, 4-cycle count) table built once per
+search: each round sorts every vertex's encoded neighbour codes and ranks
+the vertex keys with one lexsort.  The first path of individualized base
+points is refined once; the backtracking search refines only target
+colorings, pruning candidate images by one union-find per level over the
+base point's cell, joined along each automorphism found there.  The
+returned order is the product of the base-point orbit sizes, so no separate
+stabilizer chain over the vertex set is needed.  Every automorphism the
+search finds is verified edge-preserving before it is trusted.
+
+The order identity seeds that search with what the group side proves:
+right translations make level 0 one orbit, and the conjugations of
+``aut_snt`` give each lower level a part of its base point's orbit.  A level
+whose seeded orbit fills its refined cell is not searched; any other level
+is searched as without seeds, so the order stays exact.  The seeds are
+trusted, not re-verified as graph maps: they rest on the edge rule and on
+``aut_snt``'s exact sigma^-1 S sigma = S check.
 
 The search is single-threaded and deterministic; the generator list is
 canonically sorted, so results do not depend on scheduling.  numpy is
@@ -29,8 +39,8 @@ from typing import Optional, Sequence
 from .errors import BudgetExceeded
 from .cayley import CayleyGraph, build_cayley, count_4cycles_through, cycle_graph_of, is_normal
 from .gensets import GeneratorSet
-from .graphs import SimpleGraph, connected_components
-from .perms import Permutation
+from .graphs import SimpleGraph
+from .perms import Permutation, compose_maps, invert_map
 
 # Node budget of one conjugation search.  It enters at most one node per
 # partial injection, e * 8! (about 109,600) for n <= 8; the star on 9 points
@@ -75,9 +85,10 @@ class _AutSearch:
     def __init__(self, graph: SimpleGraph):
         import numpy as np
 
+        self.graph = graph
         n = self.n = graph.vertex_count
         adj = graph.adjacency
-        count = {e: count_4cycles_through(graph, e) for e in graph.edges}
+        count = _edge_4cycle_counts(graph)
         # CSR neighbour table: entry i is the edge rows[i] -> nbrs[i] with
         # its 4-cycle count; rows ascend and each row's neighbours ascend.
         degrees = np.array([len(nbrs) for nbrs in adj], dtype=np.int64)
@@ -169,35 +180,98 @@ class _AutSearch:
                 return found
         return None
 
-    def run(self) -> tuple:
-        """Returns (order, generator mappings)."""
+    def run(self, conjugations: Optional[list] = None) -> tuple:
+        """Returns (order, generator mappings).
+
+        ``conjugations``, the list ``aut_snt(T)`` of a Cayley graph of S_n,
+        seeds the search as ``verify_order_identity`` describes; the
+        generators are then only those the search found.
+        """
         import numpy as np
 
         gens: list = []
         order = 1
+        if conjugations is not None:
+            # row i: the images of the base points under conjugation i; the
+            # rows kept fix the base prefix of the current level
+            rows = [_conjugation_images(self.graph, s, self.base) for s in conjugations]
         for level, b in enumerate(self.base):
             colors = self.path[level]
             cell = np.flatnonzero(colors == colors[b]).tolist()
-            # Only automorphisms found at this level fix the whole prefix,
-            # so the stabilizer orbit of b must be computed from them alone
-            # (deeper ones will fix b too and cannot enlarge it): it is the
-            # component of b under the arcs v -> m[v] of this level's maps.
-            arcs: list = []
             orbit = {b}
+            if conjugations is not None:
+                if level == 0:
+                    # right translations by T are automorphisms, and T generates
+                    if len(cell) != self.n:
+                        raise AssertionError("a Cayley graph refined to several cells")
+                    orbit = set(cell)
+                else:
+                    orbit = {row[level] for row in rows}
+                rows = [row for row in rows if row[level] == b]
+                if len(orbit) == len(cell):
+                    order *= len(cell)
+                    continue
+            # Only automorphisms found at this level fix the whole prefix and
+            # preserve ``cell`` (deeper ones fix b too and cannot enlarge its
+            # orbit), so one union-find over the cell, joined along each
+            # map found here and along the seeded orbit, holds the orbit of b.
+            parent = {v: v for v in cell}
+            for v in orbit:
+                _union(parent, b, v)
             for u in cell[1:]:
-                if u in orbit:
+                if _find(parent, u) == _find(parent, b):
                     continue
                 found = self._extend(
                     level + 1, self.refine(self._individualize(colors, u))
                 )
                 if found is not None:
-                    arcs += enumerate(found)
                     gens.append(found)
-                    orbit = next(
-                        set(c) for c in connected_components(self.n, arcs) if b in c
-                    )
-            order *= len(orbit & set(cell))
+                    for v in cell:
+                        _union(parent, v, found[v])
+            root = _find(parent, b)
+            order *= sum(_find(parent, v) == root for v in cell)
         return order, gens
+
+
+def _find(parent: dict, v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _union(parent: dict, u: int, v: int) -> None:
+    parent[_find(parent, u)] = _find(parent, v)
+
+
+def _edge_4cycle_counts(graph: SimpleGraph) -> dict:
+    """The number of 4-cycles through each edge.
+
+    On a Cayley graph, right translation by x^-1 is an automorphism taking
+    an edge {x, t * x} to the identity edge {e, t}, so each edge takes the
+    count at the identity edge of its first label's generator: |T| counts
+    instead of |E|.
+    """
+    if not isinstance(graph, CayleyGraph):
+        return {e: count_4cycles_through(graph, e) for e in graph.edges}
+    per_generator = [
+        count_4cycles_through(graph, (0, graph.vertex_of(t)))
+        for t in graph.generating_set.elements
+    ]
+    return {
+        e: per_generator[int(labels[0][:-1])] for e, labels in graph.edge_labels.items()
+    }
+
+
+def _conjugation_images(graph: CayleyGraph, sigma: Permutation, vertices) -> list:
+    """The images of ``vertices`` under x -> sigma^-1 * x * sigma, point by
+    point: a graph automorphism fixing the identity whenever sigma maps
+    T u T^-1 onto itself."""
+    inverse, table = invert_map(sigma._map), sigma._map
+    return [
+        graph._index[compose_maps(compose_maps(inverse, graph.vertex_perm[v]._map), table)]
+        for v in vertices
+    ]
 
 
 def graph_aut_order(graph: SimpleGraph, budget: int = 2000) -> tuple:
@@ -387,14 +461,25 @@ class AutReport:
 
 
 def verify_order_identity(T: GeneratorSet, budget: int = 2000) -> AutReport:
-    """Compute both sides of the semidirect order identity independently.
+    """Compute both sides of the semidirect order identity.
 
-    Left side: the graph automorphism order by partition-refinement search.
     Right side: n! (n = T.degree) times the number of conjugations
-    preserving T u T^-1.  Non-tree inputs still produce a report (the
-    hypothesis status is recorded), since those data points bear on the
-    conjecture that the identity holds anyway.  A set that does not generate
-    S_n raises ValueError: the identity is stated for Cay(S_n, T).
+    preserving T u T^-1 (``aut_snt``).  Left side: the graph automorphism
+    order by the partition-refinement search, seeded with what the group
+    side already proves.  Right translations make level 0 one orbit, and
+    each conjugation sigma gives the automorphism x -> sigma^-1 * x * sigma
+    fixing the identity, whose base-point images seed the lower levels.  A
+    seeded orbit is a lower bound on the true orbit and the refined cell an
+    upper bound: a level is skipped only when the two meet, and is searched
+    as in ``graph_aut_order`` otherwise, so the order stays exact where the
+    identity fails (C_4, K_n) and at n = 6.  The conjugations are trusted,
+    not re-verified as graph maps: they rest on ``aut_snt``'s exact
+    sigma^-1 S sigma = S check.
+
+    Non-tree inputs still produce a report (the hypothesis status is
+    recorded), since those data points bear on the conjecture that the
+    identity holds anyway.  A set that does not generate S_n raises
+    ValueError: the identity is stated for Cay(S_n, T).
     """
     graph = build_cayley(T, cap=max(budget, 1))
     n_factorial = math.factorial(T.degree)
@@ -403,8 +488,8 @@ def verify_order_identity(T: GeneratorSet, budget: int = 2000) -> AutReport:
             f"<T> has order {graph.vertex_count}, not {T.degree}! = {n_factorial}; "
             "the order identity is stated for Cay(S_n, T)"
         )
-    aut_order, _ = graph_aut_order(graph, budget)
     stabilizing = aut_snt(T)
+    aut_order, _ = _AutSearch(graph).run(stabilizing)
     if all(len(g.cycles()) == 1 for g in T.elements):
         normal, reasons = is_normal(T)
         cyc_aut = graph_aut_order(cycle_graph_of(T), budget)[0]

@@ -8,13 +8,15 @@ import pytest
 from cayleykit import automorphisms
 from cayleykit.automorphisms import (
     GraphAutomorphism,
+    _conjugation_images,
+    _edge_4cycle_counts,
     aut_snt,
     graph_aut_order,
     right_representation,
     translate_automorphism,
     verify_order_identity,
 )
-from cayleykit.cayley import build_cayley
+from cayleykit.cayley import build_cayley, count_4cycles_through
 from cayleykit.cli import main
 from cayleykit.errors import BudgetExceeded, CapExceeded
 from cayleykit.gensets import GeneratorSet
@@ -418,6 +420,81 @@ class TestOrderIdentity:
         assert csv.splitlines()[1].split(",")[3] == "240"
 
 
+# Ganesan (Discrete Math. 313, 2013): the order identity fails for the
+# transpositions of C_4 and of K_n, and holds for C_5 and for every tree.
+GANESAN = {
+    "C4": (tree_set(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 768, 192),
+    "K4": (tree_set(4, itertools.combinations(range(1, 5), 2)), 1152, 576),
+    "K5": (tree_set(5, itertools.combinations(range(1, 6), 2)), 28800, 14400),
+    "C5": (tree_set(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]), 1200, 1200),
+}
+# One transposition tree per isomorphism class on 4, 5 and 6 points.
+TREES = {
+    "path4": [(1, 2), (2, 3), (3, 4)],
+    "star4": [(1, 2), (1, 3), (1, 4)],
+    "path5": [(1, 2), (2, 3), (3, 4), (4, 5)],
+    "star5": [(1, 2), (1, 3), (1, 4), (1, 5)],
+    "fork5": [(1, 2), (2, 3), (3, 4), (3, 5)],
+    "path6": [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)],
+    "star6": [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)],
+    "spur6": [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6)],
+    "centre6": [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)],
+    "claw6": [(1, 2), (2, 3), (3, 4), (2, 5), (2, 6)],
+    "bistar6": [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)],
+}
+CORPUS = {name: case[0] for name, case in GANESAN.items()}
+CORPUS.update((name, tree_set(int(name[-1]), pairs)) for name, pairs in TREES.items())
+
+
+class TestSeededSearch:
+    """``verify_order_identity`` seeds its search with right translations and
+    the conjugations of ``aut_snt``; the unseeded ``graph_aut_order`` of the
+    same graph is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(GANESAN))
+    def test_ganesan_orders(self, name):
+        T, order, product = GANESAN[name]
+        report = verify_order_identity(T)
+        assert report.graph_aut_order == order
+        assert report.n_factorial * report.aut_snt_order == product
+        assert report.identity_holds == (order == product)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_seeded_order_equals_unseeded(self, name):
+        T = CORPUS[name]
+        assert verify_order_identity(T).graph_aut_order == graph_aut_order(build_cayley(T))[0]
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_seeds_are_automorphisms(self, name):
+        T = CORPUS[name]
+        g = build_cayley(T)
+        for t in T.elements:
+            right_representation(g, t)  # verified on construction
+        for sigma in aut_snt(T):
+            full = [g.vertex_of(x.conjugate_by(sigma)) for x in g.vertex_perm]
+            assert _conjugation_images(g, sigma, range(g.vertex_count)) == full
+            assert GraphAutomorphism(full, g)(0) == 0
+            points = random.Random(name).sample(range(g.vertex_count), 5)
+            assert _conjugation_images(g, sigma, points) == [full[v] for v in points]
+
+    def test_label_counts_match_every_edge(self):
+        rng = random.Random(2013)
+        for case in range(40):
+            k, n, size = (2, 3, 4)[case % 3], rng.randint(4, 6), rng.randint(2, 3)
+            elements = set()
+            while len(elements) < size:
+                elements.add(Permutation.from_cycles([rng.sample(range(1, n + 1), k)], n))
+            T = GeneratorSet(n, sorted(elements), CycleType([k]))
+            g = build_cayley(T)
+            counts = _edge_4cycle_counts(g)
+            at_identity = [counts[0, g.vertex_of(t)] for t in T.elements]
+            for edge, labels in g.edge_labels.items():
+                expected = count_4cycles_through(g, edge)
+                assert counts[edge] == expected, (T.to_text(), edge)
+                for label in labels:
+                    assert at_identity[int(label[:-1])] == expected, (T.to_text(), edge, label)
+
+
 @pytest.mark.slow
 def test_seven_point_graphs_at_full_scale():
     """Both 5040-vertex graphs within the order-identity budget: the path's
@@ -447,3 +524,12 @@ def test_alternating_seven_three_cycle_instance_recorded():
     stabilizing = aut_snt(T)
     print(f"A7 instance: |Aut| = {order}, |Aut(S7,T)| = {len(stabilizing)}, "
           f"|A7| * {len(stabilizing)} = {2520 * len(stabilizing)}")
+
+
+@pytest.mark.slow
+def test_eight_point_path_through_the_order_identity():
+    """The 40320-vertex S_8 path, seeded: order 8! * 2 (Feng)."""
+    report = verify_order_identity(tree_set(8, [(i, i + 1) for i in range(1, 8)]), budget=40320)
+    assert report.graph_aut_order == 80640
+    assert report.aut_snt_order == 2
+    assert report.identity_holds
