@@ -46,7 +46,6 @@ from .cayley import (
     count_4cycles_through,
     cycle_graph_of,
     is_normal,
-    same_element_criterion,
     walk_in_graph,
 )
 from .quasiham import (
@@ -73,8 +72,6 @@ from .automorphisms import (
     GraphAutomorphism,
     aut_snt,
     graph_aut_order,
-    right_representation,
-    translate_automorphism,
     verify_order_identity,
 )
 from . import errors, numth

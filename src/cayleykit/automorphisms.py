@@ -16,13 +16,11 @@ returned order is the product of the base-point orbit sizes, so no separate
 stabilizer chain over the vertex set is needed.  Every automorphism the
 search finds is verified edge-preserving before it is trusted.
 
-The order identity seeds that search with what the group side proves:
-right translations make level 0 one orbit, and the conjugations of
-``aut_snt`` give each lower level a part of its base point's orbit.  A level
-whose seeded orbit fills its refined cell is not searched; any other level
-is searched as without seeds, so the order stays exact.  The seeds are
-trusted, not re-verified as graph maps: they rest on the edge rule and on
-``aut_snt``'s exact sigma^-1 S sigma = S check.
+The order identity is decided by counting, as ``verify_order_identity``
+argues: when |Aut(S_n, S)| equals the product of the first path's cells
+below level 0, the stabilizer of the identity vertex is the conjugation
+group and nothing is searched; otherwise the search runs below level 0.
+The count trusts ``aut_snt``'s exact sigma^-1 S sigma = S check.
 
 The search is single-threaded and deterministic; the generator list is
 canonically sorted, so results do not depend on scheduling.  numpy is
@@ -40,7 +38,7 @@ from .errors import BudgetExceeded
 from .cayley import CayleyGraph, build_cayley, count_4cycles_through, cycle_graph_of, is_normal
 from .gensets import GeneratorSet
 from .graphs import SimpleGraph
-from .perms import Permutation, compose_maps, invert_map
+from .perms import Permutation
 
 # Node budget of one conjugation search.  It enters at most one node per
 # partial injection, e * 8! (about 109,600) for n <= 8; the star on 9 points
@@ -180,44 +178,21 @@ class _AutSearch:
                 return found
         return None
 
-    def run(self, conjugations: Optional[list] = None) -> tuple:
-        """Returns (order, generator mappings).
-
-        ``conjugations``, the list ``aut_snt(T)`` of a Cayley graph of S_n,
-        seeds the search as ``verify_order_identity`` describes; the
-        generators are then only those the search found.
-        """
+    def run(self, start: int = 0) -> tuple:
+        """Returns (order, generator mappings) of the pointwise stabilizer
+        of ``base[:start]``; the default is the whole automorphism group."""
         import numpy as np
 
         gens: list = []
         order = 1
-        if conjugations is not None:
-            # row i: the images of the base points under conjugation i; the
-            # rows kept fix the base prefix of the current level
-            rows = [_conjugation_images(self.graph, s, self.base) for s in conjugations]
-        for level, b in enumerate(self.base):
+        for level, b in enumerate(self.base[start:], start):
             colors = self.path[level]
             cell = np.flatnonzero(colors == colors[b]).tolist()
-            orbit = {b}
-            if conjugations is not None:
-                if level == 0:
-                    # right translations by T are automorphisms, and T generates
-                    if len(cell) != self.n:
-                        raise AssertionError("a Cayley graph refined to several cells")
-                    orbit = set(cell)
-                else:
-                    orbit = {row[level] for row in rows}
-                rows = [row for row in rows if row[level] == b]
-                if len(orbit) == len(cell):
-                    order *= len(cell)
-                    continue
             # Only automorphisms found at this level fix the whole prefix and
             # preserve ``cell`` (deeper ones fix b too and cannot enlarge its
             # orbit), so one union-find over the cell, joined along each
-            # map found here and along the seeded orbit, holds the orbit of b.
+            # map found here, holds the orbit of b.
             parent = {v: v for v in cell}
-            for v in orbit:
-                _union(parent, b, v)
             for u in cell[1:]:
                 if _find(parent, u) == _find(parent, b):
                     continue
@@ -261,17 +236,6 @@ def _edge_4cycle_counts(graph: SimpleGraph) -> dict:
     return {
         e: per_generator[int(labels[0][:-1])] for e, labels in graph.edge_labels.items()
     }
-
-
-def _conjugation_images(graph: CayleyGraph, sigma: Permutation, vertices) -> list:
-    """The images of ``vertices`` under x -> sigma^-1 * x * sigma, point by
-    point: a graph automorphism fixing the identity whenever sigma maps
-    T u T^-1 onto itself."""
-    inverse, table = invert_map(sigma._map), sigma._map
-    return [
-        graph._index[compose_maps(compose_maps(inverse, graph.vertex_perm[v]._map), table)]
-        for v in vertices
-    ]
 
 
 def graph_aut_order(graph: SimpleGraph, budget: int = 2000) -> tuple:
@@ -348,36 +312,6 @@ def _conjugation_search(elements: list, n: int) -> list:
 
     descend(1)
     return results
-
-
-# -- representation helpers ---------------------------------------------------
-
-
-def right_representation(graph: CayleyGraph, g: Permutation) -> GraphAutomorphism:
-    """The vertex map x -> x * g; verified edge-preserving on construction."""
-    mapping = [graph.vertex_of(x * g) for x in graph.vertex_perm]
-    return GraphAutomorphism(mapping, graph)
-
-
-def translate_automorphism(graph: CayleyGraph, phi: GraphAutomorphism,
-                           y: Permutation) -> GraphAutomorphism:
-    """The translate phi_y(x) = phi(x*y) * phi(y)^-1; fixes the identity vertex.
-
-    Under the package's left-quotient edge rule, x ~ t*x implies
-    phi_y(t*x) * phi_y(x)^-1 = phi(t*(x*y)) * phi(x*y)^-1, which lies in
-    T union T^-1 because phi preserves edges; a verification failure here
-    would mean the orientation convention broke, so it raises rather than
-    returning silently.
-    """
-    tail = graph.vertex_perm[phi(graph.vertex_of(y))].inverse()
-    mapping = [
-        graph.vertex_of(graph.vertex_perm[phi(graph.vertex_of(x * y))] * tail)
-        for x in graph.vertex_perm
-    ]
-    result = GraphAutomorphism(mapping, graph)
-    if result(0) != 0:
-        raise AssertionError("translated automorphism failed to fix the identity")
-    return result
 
 
 # -- the order identity -------------------------------------------------------
@@ -463,18 +397,27 @@ class AutReport:
 def verify_order_identity(T: GeneratorSet, budget: int = 2000) -> AutReport:
     """Compute both sides of the semidirect order identity.
 
-    Right side: n! (n = T.degree) times the number of conjugations
-    preserving T u T^-1 (``aut_snt``).  Left side: the graph automorphism
-    order by the partition-refinement search, seeded with what the group
-    side already proves.  Right translations make level 0 one orbit, and
-    each conjugation sigma gives the automorphism x -> sigma^-1 * x * sigma
-    fixing the identity, whose base-point images seed the lower levels.  A
-    seeded orbit is a lower bound on the true orbit and the refined cell an
-    upper bound: a level is skipped only when the two meet, and is searched
-    as in ``graph_aut_order`` otherwise, so the order stays exact where the
-    identity fails (C_4, K_n) and at n = 6.  The conjugations are trusted,
-    not re-verified as graph maps: they rest on ``aut_snt``'s exact
-    sigma^-1 S sigma = S check.
+    Right side: n! (n = T.degree) times |C|, C the conjugations
+    x -> sigma^-1 * x * sigma with sigma^-1 S sigma = S, S = T u T^-1
+    (``aut_snt``).  Left side: |Aut(G)| = n! * |A_e| for G = Cay(S_n, T),
+    since right translations are automorphisms and T generates (the refined
+    level-0 cell must hold all n! vertices); A_e is the stabilizer of e.
+
+    - Let e = b_0, ..., b_m be the first-path base; the last coloring is
+      discrete, so only the identity fixes every b_L.  Each orbit of b_L
+      under A_L, the pointwise stabilizer of b_0, ..., b_{L-1}, lies inside
+      its refined cell, so |A_e| <= prod_{L>=1} |cell_L|.
+    - C <= A_e acts faithfully for n >= 3 (S_n has trivial centre), so |C|
+      is the product of its own orbit sizes along the same base, each at
+      most the A_L-orbit.
+    - A product equal to |C| therefore forces every orbit to fill its cell:
+      |A_e| = |C| and nothing is searched.  Otherwise the search below
+      level 0 gives |A_e|, exact where the identity fails (C_4, K_n) and at
+      n = 6.  At n = 2 conjugation by (1 2) acts trivially: the product 1
+      against |C| = 2 sends it to the search.
+
+    The conjugations are not re-verified as graph maps: the count trusts
+    ``aut_snt``'s exact sigma^-1 S sigma = S check.
 
     Non-tree inputs still produce a report (the hypothesis status is
     recorded), since those data points bear on the conjecture that the
@@ -489,7 +432,14 @@ def verify_order_identity(T: GeneratorSet, budget: int = 2000) -> AutReport:
             "the order identity is stated for Cay(S_n, T)"
         )
     stabilizing = aut_snt(T)
-    aut_order, _ = _AutSearch(graph).run(stabilizing)
+    search = _AutSearch(graph)
+    cells = [int((c == c[b]).sum()) for c, b in zip(search.path, search.base)]
+    if cells and cells[0] != n_factorial:
+        raise AssertionError("a Cayley graph refined to several cells")
+    stabilizer = math.prod(cells[1:])
+    if stabilizer != len(stabilizing):
+        stabilizer = search.run(start=1)[0]
+    aut_order = n_factorial * stabilizer
     if all(len(g.cycles()) == 1 for g in T.elements):
         normal, reasons = is_normal(T)
         cyc_aut = graph_aut_order(cycle_graph_of(T), budget)[0]

@@ -55,12 +55,6 @@ class CayleyGraph(SimpleGraph):
                     labels[(v, u)] = labels.get((v, u), ()) + (minus,)
         super().__init__(len(self.vertex_perm), labels.keys(), labels)
 
-    def label_multiplicity(self, u: int) -> int:
-        """Labels on the edges at u: one per involution, two per other generator."""
-        return sum(
-            len(self.edge_labels[(min(u, v), max(u, v))]) for v in self.adjacency[u]
-        )
-
     def vertex_of(self, perm: Permutation) -> int:
         try:
             return self._index[perm._map]
@@ -161,15 +155,6 @@ def count_4cycles_through(graph: SimpleGraph, edge: tuple) -> int:
     ny = set(adj[y])
     ny.discard(x)
     return sum(len(ny.intersection(adj[a])) for a in adj[x] if a != y)
-
-
-def same_element_criterion(graph: CayleyGraph, x: int, y: int, z: int) -> bool:
-    """True iff edges xy and yz carry equal 4-cycle counts.
-
-    For tree-with-sparse-leaves sets this matches whether the two edges
-    represent the same group element.
-    """
-    return count_4cycles_through(graph, (x, y)) == count_4cycles_through(graph, (y, z))
 
 
 def commuting_4cycle(graph: CayleyGraph, t1: Permutation, t2: Permutation):

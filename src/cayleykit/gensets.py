@@ -220,17 +220,6 @@ def is_split(T: GeneratorSet) -> bool:
     )
 
 
-def is_connected_set(T: GeneratorSet) -> bool:
-    """Transposition-membership connectivity: (v1 v2) in <T> for all points.
-
-    This is the strong reading of connectivity and is equivalent to <T>
-    containing the full symmetric group on 1..n, so it is decided by the
-    order |<T>| = n!; the orbit-based predicate is
-    ``predicates(T)['semi_connected']``.  The two are deliberately separate.
-    """
-    return groups.build_chain(T.elements, T.degree).order() == math.factorial(T.degree)
-
-
 # -- explicit constructions ------------------------------------------------
 
 

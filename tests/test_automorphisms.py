@@ -8,15 +8,12 @@ import pytest
 from cayleykit import automorphisms
 from cayleykit.automorphisms import (
     GraphAutomorphism,
-    _conjugation_images,
     _edge_4cycle_counts,
     aut_snt,
     graph_aut_order,
-    right_representation,
-    translate_automorphism,
     verify_order_identity,
 )
-from cayleykit.cayley import build_cayley, count_4cycles_through
+from cayleykit.cayley import CayleyGraph, build_cayley, count_4cycles_through
 from cayleykit.cli import main
 from cayleykit.errors import BudgetExceeded, CapExceeded
 from cayleykit.gensets import GeneratorSet
@@ -62,6 +59,32 @@ def brute_aut_snt(T, n):
         if {g.conjugate_by(sigma) for g in target} == target:
             found.append(sigma)
     return sorted(found)
+
+
+def right_representation(graph, g):
+    """The vertex map x -> x * g; verified edge-preserving on construction."""
+    mapping = [graph.vertex_of(x * g) for x in graph.vertex_perm]
+    return GraphAutomorphism(mapping, graph)
+
+
+def translate_automorphism(graph, phi, y):
+    """The translate phi_y(x) = phi(x*y) * phi(y)^-1; fixes the identity vertex.
+
+    Under the package's left-quotient edge rule, x ~ t*x implies
+    phi_y(t*x) * phi_y(x)^-1 = phi(t*(x*y)) * phi(x*y)^-1, which lies in
+    T union T^-1 because phi preserves edges; a verification failure here
+    would mean the orientation convention broke, so it raises rather than
+    returning silently.
+    """
+    tail = graph.vertex_perm[phi(graph.vertex_of(y))].inverse()
+    mapping = [
+        graph.vertex_of(graph.vertex_perm[phi(graph.vertex_of(x * y))] * tail)
+        for x in graph.vertex_perm
+    ]
+    result = GraphAutomorphism(mapping, graph)
+    if result(0) != 0:
+        raise AssertionError("translated automorphism failed to fix the identity")
+    return result
 
 
 def tree_set(n, pairs):
@@ -426,6 +449,7 @@ GANESAN = {
     "C4": (tree_set(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 768, 192),
     "K4": (tree_set(4, itertools.combinations(range(1, 5), 2)), 1152, 576),
     "K5": (tree_set(5, itertools.combinations(range(1, 6), 2)), 28800, 14400),
+    "K6": (tree_set(6, itertools.combinations(range(1, 7), 2)), 1036800, 518400),
     "C5": (tree_set(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]), 1200, 1200),
 }
 # One transposition tree per isomorphism class on 4, 5 and 6 points.
@@ -446,10 +470,31 @@ CORPUS = {name: case[0] for name, case in GANESAN.items()}
 CORPUS.update((name, tree_set(int(name[-1]), pairs)) for name, pairs in TREES.items())
 
 
+def first_path_cells(graph):
+    """The size of the cell of base[L] in path[L], for each level L of the
+    search's first path."""
+    search = automorphisms._AutSearch(graph)
+    return [int((c == c[b]).sum()) for c, b in zip(search.path, search.base)]
+
+
+def patch_run(monkeypatch, on_cayley_graph):
+    """Replace ``_AutSearch.run``: a search of a Cayley graph calls
+    ``on_cayley_graph(start)`` first; any other search runs unchanged."""
+    run = automorphisms._AutSearch.run
+
+    def patched(search, start=0):
+        if isinstance(search.graph, CayleyGraph):
+            on_cayley_graph(start)
+        return run(search, start)
+
+    monkeypatch.setattr(automorphisms._AutSearch, "run", patched)
+
+
 class TestSeededSearch:
-    """``verify_order_identity`` seeds its search with right translations and
-    the conjugations of ``aut_snt``; the unseeded ``graph_aut_order`` of the
-    same graph is the oracle."""
+    """``verify_order_identity`` takes |A_e|, the stabilizer of the identity
+    vertex, from the group side when |Aut(S_n, S)| meets the product of the
+    first-path cells below level 0, and searches below level 0 otherwise;
+    ``graph_aut_order`` of the same graph, a full search, is the oracle."""
 
     @pytest.mark.parametrize("name", sorted(GANESAN))
     def test_ganesan_orders(self, name):
@@ -462,20 +507,53 @@ class TestSeededSearch:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_seeded_order_equals_unseeded(self, name):
         T = CORPUS[name]
-        assert verify_order_identity(T).graph_aut_order == graph_aut_order(build_cayley(T))[0]
+        g = build_cayley(T)
+        order = graph_aut_order(g)[0]
+        report = verify_order_identity(T)
+        assert report.graph_aut_order == order
+        # |Aut(S_n, S)| <= |A_e| <= the product of the cells below level 0
+        cells = math.prod(first_path_cells(g)[1:])
+        assert report.n_factorial * report.aut_snt_order <= order <= report.n_factorial * cells
+        # on this corpus the count fires exactly where the identity holds
+        assert (cells == report.aut_snt_order) == report.identity_holds
+
+    @pytest.mark.parametrize("name", sorted(TREES))
+    def test_trees_search_no_level(self, name, monkeypatch):
+        def refuse(start):
+            raise AssertionError(f"Cayley graph searched from level {start}")
+
+        patch_run(monkeypatch, refuse)
+        assert verify_order_identity(CORPUS[name]).identity_holds
+
+    def test_two_points_take_the_order_from_the_search(self, monkeypatch):
+        # conjugation by (1 2) acts trivially on S_2: the cells give 1, |C| = 2
+        starts = []
+        patch_run(monkeypatch, starts.append)
+        report = verify_order_identity(tree_set(2, [(1, 2)]))
+        assert (report.graph_aut_order, report.aut_snt_order) == (2, 2)
+        assert starts == [1]
+
+    @pytest.mark.parametrize("name", ["C4", "K4", "K5", "K6"])
+    def test_identity_failures_are_searched(self, name, monkeypatch):
+        # the cell product equals |A_e| here too, so the orders alone would
+        # not show a count accepted without the search
+        starts = []
+        patch_run(monkeypatch, starts.append)
+        T, order, _ = GANESAN[name]
+        assert verify_order_identity(T).graph_aut_order == order
+        assert starts == [1]
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_seeds_are_automorphisms(self, name):
+        # the count rests on this: each sigma of aut_snt, as the full map
+        # x -> sigma^-1 x sigma, is a graph automorphism fixing the identity
         T = CORPUS[name]
         g = build_cayley(T)
         for t in T.elements:
             right_representation(g, t)  # verified on construction
         for sigma in aut_snt(T):
             full = [g.vertex_of(x.conjugate_by(sigma)) for x in g.vertex_perm]
-            assert _conjugation_images(g, sigma, range(g.vertex_count)) == full
             assert GraphAutomorphism(full, g)(0) == 0
-            points = random.Random(name).sample(range(g.vertex_count), 5)
-            assert _conjugation_images(g, sigma, points) == [full[v] for v in points]
 
     def test_label_counts_match_every_edge(self):
         rng = random.Random(2013)
@@ -528,7 +606,7 @@ def test_alternating_seven_three_cycle_instance_recorded():
 
 @pytest.mark.slow
 def test_eight_point_path_through_the_order_identity():
-    """The 40320-vertex S_8 path, seeded: order 8! * 2 (Feng)."""
+    """The 40320-vertex S_8 path by the count: order 8! * 2 (Feng)."""
     report = verify_order_identity(tree_set(8, [(i, i + 1) for i in range(1, 8)]), budget=40320)
     assert report.graph_aut_order == 80640
     assert report.aut_snt_order == 2
