@@ -86,23 +86,25 @@ class _AutSearch:
         self.graph = graph
         n = self.n = graph.vertex_count
         adj = graph.adjacency
-        count = _edge_4cycle_counts(graph)
         # CSR neighbour table: entry i is the edge rows[i] -> nbrs[i] with
         # its 4-cycle count; rows ascend and each row's neighbours ascend.
         degrees = np.array([len(nbrs) for nbrs in adj], dtype=np.int64)
         self.rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
         self.nbrs = np.array([w for nbrs in adj for w in nbrs], dtype=np.int64)
-        self.counts = np.array(
-            [count[min(u, w), max(u, w)] for u, nbrs in enumerate(adj) for w in nbrs],
-            dtype=np.int64,
+        self.edge_keys = self.rows * n + self.nbrs
+        # the entries with rows < nbrs are the edges in edge order, so each
+        # entry finds its edge number among their keys
+        edge_of = np.searchsorted(
+            self.edge_keys[self.rows < self.nbrs],
+            np.minimum(self.rows, self.nbrs) * n + np.maximum(self.rows, self.nbrs),
         )
+        self.counts = np.array(_edge_4cycle_counts(graph), dtype=np.int64)[edge_of]
         self.radix = int(self.counts.max(initial=0)) + 1
         # a row's entries fill the first degree slots of its padded key row
         self.width = int(degrees.max(initial=0))
         starts = np.cumsum(degrees) - degrees
         self.slots = self.rows * self.width + np.arange(len(self.rows)) - starts[self.rows]
         self.padding = np.arange(self.width) >= degrees[:, None]
-        self.edge_keys = self.rows * n + self.nbrs
         colors = self.refine(np.zeros(n, dtype=np.int64))
         self.path, self.base = [colors], []
         while True:
@@ -219,23 +221,23 @@ def _union(parent: dict, u: int, v: int) -> None:
     parent[_find(parent, u)] = _find(parent, v)
 
 
-def _edge_4cycle_counts(graph: SimpleGraph) -> dict:
-    """The number of 4-cycles through each edge.
+def _edge_4cycle_counts(graph: SimpleGraph) -> list:
+    """The number of 4-cycles through each edge, in edge order.
 
     On a Cayley graph, right translation by x^-1 is an automorphism taking
     an edge {x, t * x} to the identity edge {e, t}, so each edge takes the
     count at the identity edge of its first label's generator: |T| counts
-    instead of |E|.
+    instead of |E|, spread by label tuple.
     """
     if not isinstance(graph, CayleyGraph):
-        return {e: count_4cycles_through(graph, e) for e in graph.edges}
+        return [count_4cycles_through(graph, e) for e in graph.edges]
     per_generator = [
         count_4cycles_through(graph, (0, graph.vertex_of(t)))
         for t in graph.generating_set.elements
     ]
-    return {
-        e: per_generator[int(labels[0][:-1])] for e, labels in graph.edge_labels.items()
-    }
+    labels = graph.edge_labels
+    by_labels = {tags: per_generator[int(tags[0][:-1])] for tags in set(labels.values())}
+    return list(map(by_labels.__getitem__, map(labels.__getitem__, graph.edges)))
 
 
 def graph_aut_order(graph: SimpleGraph, budget: int = 2000) -> tuple:

@@ -10,15 +10,21 @@ automorphism module relies on.
 A CayleyGraph is a labeled SimpleGraph that also keeps the group element of
 each vertex.  Graph construction is single-threaded and deterministic:
 vertices are the BFS closure order of the group engine, so indices are
-reproducible.  A finished graph is never mutated.
+reproducible.  Edges are read off one neighbour column per element of
+S = T u T^-1, each column formed by one getter over all vertex tables, so
+no product and no label is computed twice.  A finished graph is never
+mutated.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import lt
+
 from . import groups
 from .graphs import SimpleGraph
 from .gensets import GeneratorSet, is_split
-from .perms import Permutation, compose_maps
+from .perms import Permutation, composer, invert_map
 
 
 class CayleyGraph(SimpleGraph):
@@ -28,9 +34,15 @@ class CayleyGraph(SimpleGraph):
     identity); ``vertex_of`` is the reverse lookup, through one index keyed
     by image table.  The label of edge (u, v), u < v, is read from u: "i+"
     when v = t_i * u and "i-" when v = t_i^-1 * u; an involution carries
-    only "i+".  Labels of an edge are in generator-index order.  Each edge
-    is discovered once per generator, by the product t_i * x at one of its
-    ends: from u it reads "i+", from v it reads "i-".
+    only "i+".  Labels of an edge are in generator-index order.
+
+    Edges are found once per element s of S = T u T^-1.  One getter forms
+    s * x for every vertex x, which gives the neighbour column of s; the
+    edges of s are the pairs (u, s * u) with u < s * u, in ascending u.
+    Distinct elements of S never join the same ordered pair, so the runs
+    are disjoint, and SimpleGraph's one sort merges them.  When t_j is the
+    inverse of t_i, one element of S carries two tags, such as "i+" and
+    "j-"; all edges of an element share one label tuple.
     """
 
     def __init__(self, generating_set: GeneratorSet, cap: int = 1_000_000):
@@ -40,20 +52,22 @@ class CayleyGraph(SimpleGraph):
         self.vertex_perm = groups.enumerate_elements(
             generating_set.elements, generating_set.degree, cap
         )
-        self._index = {x._map: i for i, x in enumerate(self.vertex_perm)}
+        index = self._index = {x._map: i for i, x in enumerate(self.vertex_perm)}
 
-        labels: dict = {}
+        tags: dict = {}  # image table of s in S -> its labels in generator order
         for i, t in enumerate(generating_set.elements):
-            plus, minus = f"{i}+", f"{i}-"
-            involution = t == t.inverse()
-            for u, x in enumerate(self._index):
-                v = self._index[compose_maps(t._map, x)]
-                if u < v:
-                    labels[(u, v)] = labels.get((u, v), ()) + (plus,)
-                elif v < u and not involution:
-                    # u = t_i^-1 * v, seen from the smaller end v
-                    labels[(v, u)] = labels.get((v, u), ()) + (minus,)
-        super().__init__(len(self.vertex_perm), labels.keys(), labels)
+            tags.setdefault(t._map, []).append(f"{i}+")
+            inverse = invert_map(t._map)
+            if inverse != t._map:
+                tags.setdefault(inverse, []).append(f"{i}-")
+        edges: list = []
+        labels: dict = {}
+        for s, names in tags.items():
+            column = list(map(index.__getitem__, map(composer(s), index)))
+            run = list(compress(zip(count(), column), map(lt, count(), column)))
+            edges += run
+            labels.update(dict.fromkeys(run, tuple(names)))
+        super().__init__(len(index), edges, labels)
 
     def vertex_of(self, perm: Permutation) -> int:
         try:

@@ -4,17 +4,24 @@ and small factories.
 Vertices are 0-based integers.  A graph is its sorted edge tuple, the
 neighbor lists built from it in edge order (which leaves them sorted), and an
 ``edge_labels`` dict (empty when the graph is unlabeled); Cayley graphs are
-the labeled subclass.  The edge-list format is::
+the labeled subclass.  Every constructor input takes one normalization
+path: each pair is ordered, the list is sorted once (linear on input that
+is already sorted, such as an exported file) and repeats are dropped; the
+edges are checked one by one only when something is wrong, to name the
+first bad edge in input order.  The edge-list format is::
 
     vertices=<count>
     u v [label1[,label2...]]
 
-with one line per undirected edge, sorted, so exports are byte-stable.  The
-DOT export colors edges by their first label's generator index.
+with one line per undirected edge, sorted, so exports are byte-stable.  An
+export is one formatted list joined once; an import splits each line once.
+The DOT export colors edges by their first label's generator index.
 """
 
 from __future__ import annotations
 
+from itertools import starmap
+from operator import itemgetter, lt
 from typing import Iterable, Optional, Sequence
 
 
@@ -30,14 +37,20 @@ class SimpleGraph:
         if vertex_count < 0:
             raise ValueError("vertex count must be nonnegative")
         self.vertex_count = vertex_count
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            seen.add((min(u, v), max(u, v)))
-        self.edges = tuple(sorted(seen))
+        edges = list(edges)
+        pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+        pairs.sort()
+        # the ordered pairs are valid iff the least u is >= 0, every u < v
+        # and the largest v is in range; if not, the input is scanned in
+        # its own order to name the first bad edge
+        if pairs and not (pairs[0][0] >= 0 and all(starmap(lt, pairs))
+                          and max(map(itemgetter(1), pairs)) < vertex_count):
+            for u, v in edges:
+                if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                    raise ValueError(f"edge ({u},{v}) out of range")
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+        self.edges = tuple(dict.fromkeys(pairs))  # drops repeats, keeps the order
         self.edge_labels = edge_labels or {}
         self._adj: Optional[list] = None
 
@@ -104,21 +117,21 @@ def path_graph(n: int) -> SimpleGraph:
 
 def export_edge_list(graph: SimpleGraph) -> str:
     """Lossless, deterministic edge list; includes labels when present."""
-    labels = graph.edge_labels
+    get = graph.edge_labels.get
     lines = [f"vertices={graph.vertex_count}"]
-    for u, v in graph.edges:
-        tag = labels.get((u, v))
-        if tag:
-            lines.append(f"{u} {v} {','.join(tag)}")
-        else:
-            lines.append(f"{u} {v}")
+    lines += [
+        f"{e[0]} {e[1]} {','.join(tag)}" if (tag := get(e)) else f"{e[0]} {e[1]}"
+        for e in graph.edges
+    ]
     return "\n".join(lines) + "\n"
 
 
 def import_edge_list(text: str) -> SimpleGraph:
     """Parse the edge-list format; errors carry 1-based line numbers.
 
-    Label columns become the graph's ``edge_labels``.
+    Each line is split once.  Label columns become the graph's
+    ``edge_labels``, keyed by the ordered edge; a repeated edge keeps its
+    last label, and lines with equal label text share one tuple.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip().startswith("vertices="):
@@ -129,20 +142,23 @@ def import_edge_list(text: str) -> SimpleGraph:
         raise ValueError(f"line 1: malformed vertex count in {lines[0]!r}") from None
     edges = []
     labels = {}
+    tags: dict = {}  # label text -> its tuple
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v [labels]', got {raw!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: malformed vertex ids in {raw!r}") from None
-        edges.append((u, v))
+        edge = (u, v)
+        edges.append(edge)
         if len(parts) == 3:
-            labels[(min(u, v), max(u, v))] = tuple(parts[2].split(","))
+            tag = parts[2]
+            key = edge if u < v else (v, u)
+            labels[key] = tags.get(tag) or tags.setdefault(tag, tuple(tag.split(",")))
     try:
         return SimpleGraph(count, edges, labels)
     except ValueError as exc:

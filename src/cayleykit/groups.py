@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .errors import CapExceeded
 from .graphs import connected_components
-from .perms import Permutation, compose_maps, invert_map
+from .perms import Permutation, compose_maps, composer, invert_map
 
 _PUMP_SEED = 0x5EED
 _PUMP_SLOTS = 10
@@ -285,7 +285,9 @@ def enumerate_elements(gens: Sequence[Permutation], n: int, cap: int) -> list:
     """BFS closure of <gens> from the identity, in (word length, generator index) order.
 
     Raises CapExceeded as soon as the closure would outgrow ``cap``.  The
-    order is fixed so Cayley-graph vertex indices are reproducible.
+    order is fixed so Cayley-graph vertex indices are reproducible.  Each
+    frontier element w is turned into one getter that forms w * t for every
+    generator t.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -299,12 +301,11 @@ def enumerate_elements(gens: Sequence[Permutation], n: int, cap: int) -> list:
     while frontier:
         nxt = []
         for w in frontier:
-            for t in tables:
-                candidate = compose_maps(w, t)
+            for candidate in map(composer(w), tables):
                 if candidate not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(f"group closure exceeds cap {cap}")
                     seen[candidate] = None
                     nxt.append(candidate)
         frontier = nxt
-    return [Permutation._from_zero_based(t) for t in seen]
+    return list(map(Permutation._from_zero_based, seen))

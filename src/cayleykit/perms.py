@@ -26,6 +26,14 @@ def compose_maps(a: tuple, b: tuple) -> tuple:
     return tuple(b[x] for x in a)
 
 
+def composer(a: tuple):
+    """The function ``b -> compose_maps(a, b)``: one ``itemgetter`` built
+    once and applied to many tables (degrees below 2 take the plain loop)."""
+    if len(a) > 1:
+        return itemgetter(*a)
+    return lambda b: tuple(b[x] for x in a)
+
+
 def invert_map(table: tuple) -> tuple:
     """Image table of the inverse of ``table`` (0-based)."""
     inv = [0] * len(table)

@@ -555,6 +555,19 @@ class TestSeededSearch:
             full = [g.vertex_of(x.conjugate_by(sigma)) for x in g.vertex_perm]
             assert GraphAutomorphism(full, g)(0) == 0
 
+    def test_csr_count_column_matches_every_entry(self):
+        # the scatter by edge number, on a Cayley graph (counts by label)
+        # and on graphs without labels (counts by edge)
+        pair = build_cayley(GeneratorSet(
+            5, [Permutation.from_cycles([c], 5) for c in ((1, 2, 3), (3, 4, 5))], CycleType([3])))
+        for g in (pair, petersen_graph(), complete_graph(5), SimpleGraph(4, [(0, 1)])):
+            search = automorphisms._AutSearch(g)
+            expected = [
+                count_4cycles_through(g, (min(u, w), max(u, w)))
+                for u in range(g.vertex_count) for w in g.adjacency[u]
+            ]
+            assert search.counts.tolist() == expected
+
     def test_label_counts_match_every_edge(self):
         rng = random.Random(2013)
         for case in range(40):
@@ -564,7 +577,7 @@ class TestSeededSearch:
                 elements.add(Permutation.from_cycles([rng.sample(range(1, n + 1), k)], n))
             T = GeneratorSet(n, sorted(elements), CycleType([k]))
             g = build_cayley(T)
-            counts = _edge_4cycle_counts(g)
+            counts = dict(zip(g.edges, _edge_4cycle_counts(g)))
             at_identity = [counts[0, g.vertex_of(t)] for t in T.elements]
             for edge, labels in g.edge_labels.items():
                 expected = count_4cycles_through(g, edge)

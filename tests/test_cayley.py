@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from cayleykit.cayley import (
 )
 from cayleykit.errors import CapExceeded
 from cayleykit.gensets import GeneratorSet, construct_cycle_pair, is_split
-from cayleykit.graphs import SimpleGraph, connected_components, export_edge_list
+from cayleykit.graphs import SimpleGraph, connected_components, export_dot, export_edge_list
 from cayleykit.groups import enumerate_elements
 from cayleykit.perms import CycleType, Permutation
 
@@ -203,6 +204,46 @@ class TestBuildCayley:
             if any(s in T.elements and s != t for t, s in zip(T.elements, inverses)):
                 seen.add("t and t^-1")
         assert seen >= {(2,), (3,), (4,), (2, 2), (3, 2), "non-involution", "t and t^-1"}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (set, SHA-256 of the edge list, of the vertex order as image lines, of the DOT text)
+AT_SCALE = {
+    "S7 path": ([f"({i} {i + 1})" for i in range(1, 7)], 7, [2], (
+        "c9306171b3755e47800185a9d343b65ad08ceed712ef2bf553c144201ff194dc",
+        "8feba36304b56962e095e675e2609f432a9d4f356488a05fc4eea363e6b2f64d",
+        "6e99789d61855b429840a33284c78706b25dc46cd363d35e687d046252a8a96a")),
+    "S7 star": ([f"(1 {i})" for i in range(2, 8)], 7, [2], (
+        "98fce3bf418f7ee4d6d1e31346ea23bfa1224d89edff67efedd99a994127c7eb",
+        "b992cddeb311477613ff45b17601ef910870b4f64c9bc55b3bf870dcd1ffc467",
+        "05aaedf2aa638058aa0b2e64a26f517552504cb1c815f2b551e673b04292f6f2")),
+    "S7 cycle pair": (["(1 2 3 4)", "(4 5 6 7)"], 7, [4], (
+        "94e250cb2fa91d3f97487d95d98d8904c235637761b1575b76aac3604c2feccd",
+        "168cf32adcc050dd446516bce5eed988c61444dca438f8241e3888d6ab9714ae",
+        "5641ff8aa3f4ae007f2276133e6786d41d25826c0f3f2ab656413f017bf75301")),
+    "S8 path": ([f"({i} {i + 1})" for i in range(1, 8)], 8, [2], (
+        "e17cde948e51bb4d8420ee4ece379e2f4cd89c092e0dbf9705bdb7a24444b25f",
+        "d282f8097984ac4fb6d79507bb7bce7e42b8e65b65b62db3c43f1b014e5f3073",
+        "a33eb04fa545aa8e8d7db851b7c77ebb08a52e1b7028e40e1819fb46abe68def")),
+}
+
+
+@pytest.mark.parametrize("name", [
+    "S7 path", "S7 star", "S7 cycle pair",
+    pytest.param("S8 path", marks=pytest.mark.slow),
+])
+def test_exports_and_vertex_order_are_pinned_at_scale(name):
+    """Byte identity beyond the reference builder's small corpus: the
+    digests were taken from the builder that composed each generator with
+    each vertex and re-sorted the edges in SimpleGraph."""
+    texts, n, parts, (edge_list, order, dot) = AT_SCALE[name]
+    g = build_cayley(make_set(texts, n, parts))
+    assert _sha(export_edge_list(g)) == edge_list
+    assert _sha("\n".join(" ".join(map(str, x.images)) for x in g.vertex_perm)) == order
+    assert _sha(export_dot(g)) == dot
 
 
 class TestCycleGraphAndNormality:

@@ -60,6 +60,34 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             SimpleGraph(3, [(0, 3)])
 
+    def test_first_bad_edge_in_input_order_range_before_loop(self):
+        with pytest.raises(ValueError) as err:
+            SimpleGraph(3, [(0, 1), (1, 1), (0, 5)])
+        assert str(err.value) == "self-loop at vertex 1"
+        with pytest.raises(ValueError) as err:
+            SimpleGraph(3, [(0, 1), (0, 5), (1, 1)])
+        assert str(err.value) == "edge (0,5) out of range"
+        with pytest.raises(ValueError) as err:
+            SimpleGraph(3, [(5, 5)])
+        assert str(err.value) == "edge (5,5) out of range"
+        with pytest.raises(ValueError) as err:
+            SimpleGraph(3, [(2, -1)])
+        assert str(err.value) == "edge (2,-1) out of range"
+        with pytest.raises(ValueError) as err:
+            SimpleGraph(-1, [])
+        assert str(err.value) == "vertex count must be nonnegative"
+
+    def test_edges_from_a_generator_or_dict_keys(self):
+        expected = ((0, 1), (0, 2), (1, 2))
+        assert SimpleGraph(3, ((v, u) for u, v in expected)).edges == expected
+        labels = {(1, 2): ("a",), (0, 2): ("b",), (0, 1): ("c",)}
+        g = SimpleGraph(3, labels.keys(), labels)
+        assert g.edges == expected and g.edge_labels == labels
+
+    def test_repeated_and_reversed_edges_collapse(self):
+        g = SimpleGraph(4, [(3, 2), (0, 1), (2, 3), (1, 0), (0, 1)])
+        assert g.edges == ((0, 1), (2, 3))
+
     def test_connectivity(self):
         assert cycle_graph(5).is_connected()
         assert not SimpleGraph(4, [(0, 1), (2, 3)]).is_connected()
@@ -122,6 +150,45 @@ class TestEdgeListFormat:
             import_edge_list("vertices=3\n0 1\n0 x\n")
         with pytest.raises(ValueError, match="line 2"):
             import_edge_list("vertices=3\n0 1 2 3\n")
+
+    def test_reversed_line_labels_the_ordered_edge(self):
+        g = import_edge_list("vertices=2\n1 0 0+\n")
+        assert g.edges == ((0, 1),)
+        assert g.edge_labels == {(0, 1): ("0+",)}
+
+    def test_repeated_edge_line_keeps_one_edge_and_the_later_label(self):
+        g = import_edge_list("vertices=3\n0 1 a\n1 2\n1 0 b,c\n")
+        assert g.edges == ((0, 1), (1, 2))
+        assert g.edge_labels == {(0, 1): ("b", "c")}
+
+    def test_blank_whitespace_tab_and_crlf_lines(self):
+        text = "vertices=4\r\n\r\n0\t1\r\n   \r\n\t\n 2  3 x,y \r\n1 2\n"
+        g = import_edge_list(text)
+        assert g.vertex_count == 4
+        assert g.edges == ((0, 1), (1, 2), (2, 3))
+        assert g.edge_labels == {(2, 3): ("x", "y")}
+
+    def test_zero_vertices(self):
+        g = import_edge_list("vertices=0\n")
+        assert (g.vertex_count, g.edges, g.edge_labels) == (0, (), {})
+        assert export_edge_list(g) == "vertices=0\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: expected 'vertices=<count>' header"),
+        ("0 1\n", "line 1: expected 'vertices=<count>' header"),
+        ("vertices=x\n", "line 1: malformed vertex count in 'vertices=x'"),
+        ("vertices=3\n0 1\n\n0\n", "line 4: expected 'u v [labels]', got '0'"),
+        ("vertices=3\n0 1 a b\n", "line 2: expected 'u v [labels]', got '0 1 a b'"),
+        ("vertices=3\n0 1\n1 2\n2 z\n", "line 4: malformed vertex ids in '2 z'"),
+        ("vertices=3\r\n0 1\r\n1.0 2\r\n", "line 3: malformed vertex ids in '1.0 2'"),
+        ("vertices=3\n0 1\n0 3\n", "edge list invalid: edge (0,3) out of range"),
+        ("vertices=3\n0 1\n2 2\n", "edge list invalid: self-loop at vertex 2"),
+        ("vertices=3\n2 -1\n1 1\n", "edge list invalid: edge (2,-1) out of range"),
+    ])
+    def test_each_parse_error_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            import_edge_list(text)
+        assert str(err.value) == message
 
     def test_deterministic_export(self):
         g = petersen_graph()

@@ -335,6 +335,7 @@ class TestEnumerateElements:
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
             enumerate_elements([P("(1 2)", 3), P("(2 3)", 3)], 3, 5)
+        assert len(enumerate_elements([P("(1 2)", 3), P("(2 3)", 3)], 3, 6)) == 6
 
     def test_matches_chain_order(self):
         rng = random.Random(21)

@@ -9,6 +9,7 @@ from cayleykit.perms import (
     Permutation,
     analyze,
     compose_maps,
+    composer,
     in_extended_class,
 )
 
@@ -113,6 +114,14 @@ class TestComposeProperties:
         table = compose_maps(a._map, b._map)
         assert type(table) is tuple and len(table) == a.degree
         assert (a * b).images == tuple(b(a(x)) for x in range(1, a.degree + 1))
+
+    @settings(deadline=None, derandomize=True)
+    @given(perm_tuples(3, max_degree=4))
+    def test_composer_is_compose_maps_with_the_left_table_fixed(self, triple):
+        a, b, c = triple
+        compose_a = composer(a._map)
+        for other in (b, c):
+            assert compose_a(other._map) == compose_maps(a._map, other._map)
 
 
 class TestCycleCodec:
