@@ -16,11 +16,13 @@ returned order is the product of the base-point orbit sizes, so no separate
 stabilizer chain over the vertex set is needed.  Every automorphism the
 search finds is verified edge-preserving before it is trusted.
 
+The same search gives Aut(S_n, S), as the automorphisms of a colored graph
+that act faithfully on its point vertices: no chain is needed for the order.
+
 The order identity is decided by counting, as ``verify_order_identity``
 argues: when |Aut(S_n, S)| equals the product of the first path's cells
 below level 0, the stabilizer of the identity vertex is the conjugation
 group and nothing is searched; otherwise the search runs below level 0.
-The count trusts ``aut_snt``'s exact sigma^-1 S sigma = S check.
 
 The search is single-threaded and deterministic; the generator list is
 canonically sorted, so results do not depend on scheduling.  numpy is
@@ -34,16 +36,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, CapExceeded
 from .cayley import CayleyGraph, build_cayley, count_4cycles_through, cycle_graph_of, is_normal
 from .gensets import GeneratorSet
 from .graphs import SimpleGraph
+from .groups import enumerate_elements
 from .perms import Permutation
 
-# Node budget of one conjugation search.  It enters at most one node per
-# partial injection, e * 8! (about 109,600) for n <= 8; the star on 9 points
-# already needs 109,610 and the star on 10 points 986,420.
-_CONJUGATION_NODE_BUDGET = 200_000
+# Most conjugations ``aut_snt`` lists; a larger group is refused from its
+# order, before any element is formed.
+_CONJUGATION_LIST_CAP = 200_000
 
 
 class GraphAutomorphism:
@@ -77,10 +79,11 @@ class _AutSearch:
     non-singleton cell of ``path[i]`` by color order, and ``path[i + 1]``
     refines ``path[i]`` with ``base[i]`` individualized, until the coloring
     is discrete.  The search then refines target colorings only.  Colorings
-    are int64 arrays throughout.
+    are int64 arrays throughout; ``colours`` (nonnegative ints, default
+    unit) is the starting coloring, whose classes every map found keeps.
     """
 
-    def __init__(self, graph: SimpleGraph):
+    def __init__(self, graph: SimpleGraph, colours: Optional[Sequence[int]] = None):
         import numpy as np
 
         self.graph = graph
@@ -105,7 +108,7 @@ class _AutSearch:
         starts = np.cumsum(degrees) - degrees
         self.slots = self.rows * self.width + np.arange(len(self.rows)) - starts[self.rows]
         self.padding = np.arange(self.width) >= degrees[:, None]
-        colors = self.refine(np.zeros(n, dtype=np.int64))
+        colors = self.refine(np.zeros(n, dtype=np.int64) if colours is None else colours)
         self.path, self.base = [colors], []
         while True:
             cells = np.flatnonzero(np.bincount(colors) > 1)
@@ -256,64 +259,52 @@ def graph_aut_order(graph: SimpleGraph, budget: int = 2000) -> tuple:
 
 
 def aut_snt(T: GeneratorSet) -> list:
-    """All conjugations of S_n, n = T.degree, preserving S = T u T^-1.
+    """All conjugations of S_n, n = T.degree, preserving S = T u T^-1, sorted.
 
     S, not T, is what the Cayley graph sees; the two stabilizers agree when
     T consists of involutions.  Inner automorphisms only; this is the whole
     automorphism group of S_n for n != 6, and callers at n = 6 get the
-    caveat flagged in reports.  One pruned backtracking search serves every
-    n; it raises BudgetExceeded past ``_CONJUGATION_NODE_BUDGET`` nodes.
+    caveat flagged in reports.  A group of more than
+    ``_CONJUGATION_LIST_CAP`` elements raises CapExceeded unlisted.
     """
-    target = set(T.elements) | {g.inverse() for g in T.elements}
-    return sorted(_conjugation_search(list(target), T.degree))
+    order, gens = _conjugations(T)
+    if order > _CONJUGATION_LIST_CAP:
+        raise CapExceeded(f"{order} conjugations exceed the list cap {_CONJUGATION_LIST_CAP}")
+    return sorted(enumerate_elements(gens, T.degree, _CONJUGATION_LIST_CAP))
 
 
-def _conjugation_search(elements: list, n: int) -> list:
-    """Backtracking over point images; a partial map must send every element's
-    partial relabeling into the support structure of some target element."""
-    point_pairs = {}
-    for g in elements:
-        for x in range(1, n + 1):
-            point_pairs.setdefault(x, set()).add(g(x))
+def _conjugations(T: GeneratorSet) -> tuple:
+    """(|Aut(S_n, S)|, generators), each generator checked to map S onto S.
 
-    results = []
-    images = [0] * (n + 1)
-    used = set()
-    nodes = 0
-
-    def feasible(x: int) -> bool:
-        # every mapped arrow x -> g(x) must appear as an arrow of the image set
-        for g in elements:
-            y = g(x)
-            if images[y]:
-                if images[x] not in point_pairs or images[y] not in point_pairs[images[x]]:
-                    return False
-        return True
-
-    def descend(x: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > _CONJUGATION_NODE_BUDGET:
-            raise BudgetExceeded(
-                f"conjugation search exceeded {_CONJUGATION_NODE_BUDGET} nodes"
-            )
-        if x > n:
-            sigma = Permutation(images[1:])
-            if {g.conjugate_by(sigma) for g in elements} == set(elements):
-                results.append(sigma)
-            return
-        for y in range(1, n + 1):
-            if y in used:
-                continue
-            images[x] = y
-            used.add(y)
-            if feasible(x):
-                descend(x + 1)
-            used.discard(y)
-            images[x] = 0
-
-    descend(1)
-    return results
+    The search runs on a graph whose automorphisms, restricted to vertices
+    0..n-1 (the points), are these conjugations, acting faithfully.  For
+    transpositions it is the cycle graph: S = T, and sigma preserves T
+    exactly when it preserves the graph whose edges T's elements are.
+    Otherwise each s in S gets a vertex, and each point x that s moves an
+    arc vertex joined to x, to s and to a head vertex joined to s(x), with
+    colours points, elements, arcs, heads: the arc x -> s(x) of s goes to
+    an arc sigma(x) -> sigma(s(x)) of the image of s, which is therefore
+    sigma s sigma^-1.  The head keeps the arc directed; joining the arcs
+    (x, s) and (s(x), s) directly lets an automorphism swap s with s^-1,
+    or reverse one cycle of an element with several.
+    """
+    n = T.degree
+    S = sorted(set(T.elements) | {g.inverse() for g in T.elements})
+    if T.cycle_type.parts == (2,):
+        graph, colours = cycle_graph_of(T), None
+    else:
+        colours, edges = [0] * n + [1] * len(S), []
+        for vertex, s in enumerate(S, n):
+            for x in sorted(s.support()):
+                arc = len(colours)
+                colours += [2, 3]
+                edges += [(x - 1, arc), (vertex, arc), (arc, arc + 1), (arc + 1, s(x) - 1)]
+        graph = SimpleGraph(len(colours), edges)
+    order, raw = _AutSearch(graph, colours).run()
+    gens = [Permutation._from_zero_based(m[:n]) for m in raw]
+    if any(sorted(g.conjugate_by(sigma) for g in S) != S for sigma in gens):
+        raise AssertionError("a conjugation-graph automorphism does not preserve S")
+    return order, gens
 
 
 # -- the order identity -------------------------------------------------------
@@ -401,9 +392,10 @@ def verify_order_identity(T: GeneratorSet, budget: int = 2000) -> AutReport:
 
     Right side: n! (n = T.degree) times |C|, C the conjugations
     x -> sigma^-1 * x * sigma with sigma^-1 S sigma = S, S = T u T^-1
-    (``aut_snt``).  Left side: |Aut(G)| = n! * |A_e| for G = Cay(S_n, T),
-    since right translations are automorphisms and T generates (the refined
-    level-0 cell must hold all n! vertices); A_e is the stabilizer of e.
+    (the group ``aut_snt`` lists).  Left side: |Aut(G)| = n! * |A_e| for
+    G = Cay(S_n, T), since right translations are automorphisms and T
+    generates (the refined level-0 cell must hold all n! vertices); A_e is
+    the stabilizer of e.
 
     - Let e = b_0, ..., b_m be the first-path base; the last coloring is
       discrete, so only the identity fixes every b_L.  Each orbit of b_L
@@ -418,8 +410,8 @@ def verify_order_identity(T: GeneratorSet, budget: int = 2000) -> AutReport:
       n = 6.  At n = 2 conjugation by (1 2) acts trivially: the product 1
       against |C| = 2 sends it to the search.
 
-    The conjugations are not re-verified as graph maps: the count trusts
-    ``aut_snt``'s exact sigma^-1 S sigma = S check.
+    |C| comes from ``_conjugations``; for transpositions its search is the
+    cycle-graph search that ``cyc_aut_order`` runs, so it is reused.
 
     Non-tree inputs still produce a report (the hypothesis status is
     recorded), since those data points bear on the conjecture that the
@@ -433,27 +425,26 @@ def verify_order_identity(T: GeneratorSet, budget: int = 2000) -> AutReport:
             f"<T> has order {graph.vertex_count}, not {T.degree}! = {n_factorial}; "
             "the order identity is stated for Cay(S_n, T)"
         )
-    stabilizing = aut_snt(T)
     search = _AutSearch(graph)
     cells = [int((c == c[b]).sum()) for c, b in zip(search.path, search.base)]
     if cells and cells[0] != n_factorial:
         raise AssertionError("a Cayley graph refined to several cells")
-    stabilizer = math.prod(cells[1:])
-    if stabilizer != len(stabilizing):
-        stabilizer = search.run(start=1)[0]
-    aut_order = n_factorial * stabilizer
     if all(len(g.cycles()) == 1 for g in T.elements):
         normal, reasons = is_normal(T)
         cyc_aut = graph_aut_order(cycle_graph_of(T), budget)[0]
     else:
         normal, reasons = False, ["elements are not single cycles"]
         cyc_aut = None
+    conjugations = cyc_aut if T.cycle_type.parts == (2,) else _conjugations(T)[0]
+    stabilizer = math.prod(cells[1:])
+    if stabilizer != conjugations:
+        stabilizer = search.run(start=1)[0]
     return AutReport(
         degree=T.degree,
         set_size=len(T),
         normal=normal,
         normal_reasons=tuple(reasons),
-        graph_aut_order=aut_order,
-        aut_snt_order=len(stabilizing),
+        graph_aut_order=n_factorial * stabilizer,
+        aut_snt_order=conjugations,
         cyc_aut_order=cyc_aut,
     )

@@ -32,7 +32,9 @@ class SpectrumReport:
     """Top eigenvalues with multiplicities and residual certificates."""
 
     kind: str                 # "adjacency" | "laplacian"
-    method: str               # "iterative" (one solver; the field stays for readers)
+    # "iterative", the one solver: perfbench/tracing.py reads it to name the
+    # spectrum_topk span, and tests/test_perfbench_hooks.py asserts it is measured
+    method: str
     tolerance: float
     entries: tuple            # (eigenvalue, multiplicity, max residual) descending
 

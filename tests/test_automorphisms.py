@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -51,14 +52,61 @@ def brute_aut_order(graph):
 
 
 def brute_aut_snt(T, n):
-    """Exhaustive-scan oracle: every sigma in S_n preserving T u T^-1."""
+    """Exhaustive-scan oracle: every sigma in S_n preserving T u T^-1.
+
+    Conjugation is injective, so sigma^-1 S sigma lies in S exactly when it
+    equals S; the scan stops at the first element that leaves S.
+    """
     target = set(T.elements) | {g.inverse() for g in T.elements}
     found = []
     for images in itertools.permutations(range(1, n + 1)):
         sigma = Permutation(images)
-        if {g.conjugate_by(sigma) for g in target} == target:
+        if all(g.conjugate_by(sigma) in target for g in target):
             found.append(sigma)
     return sorted(found)
+
+
+def reference_conjugations(T):
+    """The backtracking search that listed Aut(S_n, S) before the
+    refinement search did: point images are chosen in order 1..n, and a
+    partial map must send each arrow x -> g(x) of S, both ends mapped, to
+    an arrow of S; each complete map is kept if it conjugates S onto S."""
+    elements = list(set(T.elements) | {g.inverse() for g in T.elements})
+    n = T.degree
+    point_pairs = {}
+    for g in elements:
+        for x in range(1, n + 1):
+            point_pairs.setdefault(x, set()).add(g(x))
+    results = []
+    images = [0] * (n + 1)
+    used = set()
+
+    def feasible(x):
+        for g in elements:
+            y = g(x)
+            if images[y]:
+                if images[x] not in point_pairs or images[y] not in point_pairs[images[x]]:
+                    return False
+        return True
+
+    def descend(x):
+        if x > n:
+            sigma = Permutation(images[1:])
+            if {g.conjugate_by(sigma) for g in elements} == set(elements):
+                results.append(sigma)
+            return
+        for y in range(1, n + 1):
+            if y in used:
+                continue
+            images[x] = y
+            used.add(y)
+            if feasible(x):
+                descend(x + 1)
+            used.discard(y)
+            images[x] = 0
+
+    descend(1)
+    return sorted(results)
 
 
 def right_representation(graph, g):
@@ -285,7 +333,8 @@ class TestAutSnt:
         assert len(aut_snt(T)) == math.factorial(n)
 
     def test_backtracking_path_matches_exhaustive(self):
-        # degree 9, past the exhaustive oracle; only the reversal preserves it
+        # degree 9, past the exhaustive oracle; only the reversal preserves
+        # it, as the backtracking reference finds too
         T9 = make_set(
             ["(1 2)", "(2 3)", "(3 4)", "(4 5)", "(5 6)", "(6 7)", "(7 8)", "(8 9)"],
             9,
@@ -294,7 +343,7 @@ class TestAutSnt:
         found = aut_snt(T9)
         assert len(found) == 2
         assert P("(1 9)(2 8)(3 7)(4 6)", 9) in found
-
+        assert found == reference_conjugations(T9)
 
     def test_counts_the_connection_set_of_a_cycle_pair(self):
         # Aut(Cay(S_7, T)) has 40320 = 7! * 8 elements; the graph sees
@@ -320,16 +369,33 @@ class TestAutSnt:
             T = GeneratorSet(n, sorted(elements), CycleType([k]))
             assert aut_snt(T) == brute_aut_snt(T, n)
 
-    def test_node_budget(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(automorphisms, "_CONJUGATION_NODE_BUDGET", 1)
-        with pytest.raises(BudgetExceeded):
-            aut_snt(PATH5)
-        gens = tmp_path / "path4.gens"
-        gens.write_text("n=4 type=2\n(1 2)\n(2 3)\n(3 4)\n")
-        assert main(["aut", "--set", str(gens)]) == 1
-        stderr = capsys.readouterr().err
-        assert "conjugation search exceeded 1 nodes" in stderr
-        assert "Traceback" not in stderr
+    def test_list_cap(self, monkeypatch):
+        # STAR4 has 6 conjugations; past the cap, none is listed
+        monkeypatch.setattr(automorphisms, "_CONJUGATION_LIST_CAP", 5)
+        with pytest.raises(CapExceeded, match="6 conjugations exceed the list cap 5"):
+            aut_snt(STAR4)
+
+    def test_cli_budget_is_an_error_line(self, tmp_path, capsys):
+        gens = tmp_path / "path5.gens"
+        gens.write_text("n=5 type=2\n(1 2)\n(2 3)\n(3 4)\n(4 5)\n")
+        assert main(["aut", "--set", str(gens), "--budget", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_large_stars(self, n):
+        # the order (n - 1)! comes from the search, and the list is refused
+        # from that order alone
+        T = tree_set(n, [(1, i) for i in range(2, n + 1)])
+        started = time.process_time()
+        assert automorphisms._conjugations(T)[0] == math.factorial(n - 1)
+        assert time.process_time() - started < 1.0
+        started = time.process_time()
+        with pytest.raises(CapExceeded):
+            aut_snt(T)
+        assert time.process_time() - started < 1.0
 
 
 class TestGraphAutomorphism:
@@ -470,6 +536,70 @@ CORPUS = {name: case[0] for name, case in GANESAN.items()}
 CORPUS.update((name, tree_set(int(name[-1]), pairs)) for name, pairs in TREES.items())
 
 
+# Every set that the other tests in this file hand to ``aut_snt`` or to
+# ``verify_order_identity`` (the Ganesan and tree corpus among them), and
+# one multi-cycle element.
+AUT_SNT_CORPUS = dict(CORPUS)
+AUT_SNT_CORPUS.update(
+    {
+        "two-points": tree_set(2, [(1, 2)]),
+        "class4": tree_set(4, itertools.combinations(range(1, 5), 2)),
+        "path9": tree_set(9, [(i, i + 1) for i in range(1, 9)]),
+        "pair7": make_set(["(1 2 3 4)", "(4 5 6 7)"], 7, [4]),
+        "tree9": make_set(["(1 2 3 4)", "(4 5 6 7)", "(6 7 8 9)"], 9, [4]),
+        "cyclic4": make_set(["(1 2 4 3)"], 4, [4]),
+        "alternating4": make_set(["(1 2 3)", "(2 3 4)"], 4, [3]),
+        "3cycle-pair5": make_set(["(1 2 3)", "(3 4 5)"], 5, [3]),
+        "a7-instance": make_set(
+            ["(1 2 3)", "(1 3 2)", "(1 4 5)", "(1 5 4)", "(1 6 7)", "(1 7 6)"], 7, [3]
+        ),
+        # 36 conjugations; an undirected arc link admits 144 graph maps
+        "two-3-cycles7": make_set(["(1 5 3)(4 7 6)"], 7, [3, 3]),
+    }
+)
+
+# The cycle types of the seeded random sets, on at most 7 points.
+RANDOM_TYPES = [(2,), (3,), (4,), (2, 2), (3, 3), (2, 3), (2, 4), (2, 2, 2)]
+
+
+def random_set(rng, parts):
+    n = rng.randint(max(sum(parts), 3), 7)
+    elements = set()
+    for _ in range(rng.randint(1, 4)):
+        points = rng.sample(range(1, n + 1), sum(parts))
+        ends = list(itertools.accumulate(parts))
+        cycles = [points[end - part:end] for part, end in zip(parts, ends)]
+        elements.add(Permutation.from_cycles(cycles, n))
+    return GeneratorSet(n, sorted(elements), CycleType(parts))
+
+
+class TestConjugationOracles:
+    """``aut_snt``, the closure of the refinement search's generators, equals
+    the backtracking reference and, up to 8 points, the exhaustive scan."""
+
+    @staticmethod
+    def check(T):
+        found = aut_snt(T)
+        assert found == reference_conjugations(T), T.to_text()
+        if T.degree <= 8:
+            assert found == brute_aut_snt(T, T.degree), T.to_text()
+
+    @pytest.mark.parametrize("name", sorted(AUT_SNT_CORPUS))
+    def test_corpus(self, name):
+        self.check(AUT_SNT_CORPUS[name])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_transposition_tree(self, n):
+        nx = pytest.importorskip("networkx")
+        for tree in nx.nonisomorphic_trees(n):
+            self.check(tree_set(n, sorted((a + 1, b + 1) for a, b in tree.edges())))
+
+    def test_seeded_random_sets_of_eight_types(self):
+        rng = random.Random(4127)
+        for i in range(120):
+            self.check(random_set(rng, RANDOM_TYPES[i % len(RANDOM_TYPES)]))
+
+
 def first_path_cells(graph):
     """The size of the cell of base[L] in path[L], for each level L of the
     search's first path."""
@@ -524,6 +654,27 @@ class TestSeededSearch:
 
         patch_run(monkeypatch, refuse)
         assert verify_order_identity(CORPUS[name]).identity_holds
+
+    @pytest.mark.parametrize("name", sorted(TREES))
+    def test_trees_run_one_point_level_search(self, name, monkeypatch):
+        entered = []
+        run = automorphisms._AutSearch.run
+
+        def counted(search, start=0):
+            entered.append(search.graph)
+            return run(search, start)
+
+        monkeypatch.setattr(automorphisms._AutSearch, "run", counted)
+        verify_order_identity(CORPUS[name])
+        assert len(entered) == 1
+        assert entered[0].vertex_count == CORPUS[name].degree
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_transposition_sets_reuse_the_cycle_graph_order(self, name):
+        T = CORPUS[name]
+        assert T.cycle_type.parts == (2,)
+        report = verify_order_identity(T)
+        assert report.aut_snt_order == report.cyc_aut_order == len(reference_conjugations(T))
 
     def test_two_points_take_the_order_from_the_search(self, monkeypatch):
         # conjugation by (1 2) acts trivially on S_2: the cells give 1, |C| = 2
