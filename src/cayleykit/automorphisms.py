@@ -4,20 +4,22 @@ connection set T u T^-1, and the semidirect-product order identity report.
 The graph search is individualization-refinement: vertices are colored by an
 equitable refinement whose signatures mix neighbor colors with per-edge
 4-cycle counts (cheap and highly discriminating on these graphs; on a
-Cayley graph every edge takes the count at the identity edge of its first
-label's generator, so only |T| edges are counted).  Refinement is one array
-pass per round over a CSR (neighbour, 4-cycle count) table built once per
-search: each round sorts every vertex's encoded neighbour codes and ranks
-the vertex keys with one lexsort.  The first path of individualized base
-points is refined once; the backtracking search refines only target
-colorings, pruning candidate images by one union-find per level over the
-base point's cell, joined along each automorphism found there.  The
-returned order is the product of the base-point orbit sizes, so no separate
-stabilizer chain over the vertex set is needed.  Every automorphism the
+Cayley graph every edge takes the count of the identity edge that carries
+its label tuple, so only the |T u T^-1| identity edges are counted).
+Refinement is one array pass per round over a CSR (neighbour, 4-cycle
+count) table built once per search: each round sorts every vertex's
+encoded neighbour codes and ranks the vertex keys with one lexsort.  The
+first path of individualized base points is refined once; the backtracking
+search refines only target colorings, pruning candidate images by one
+union-find per level over the base point's cell, joined along each
+automorphism found there.  The returned order is the product of the
+base-point orbit sizes, so no separate stabilizer chain over the vertex
+set is needed.  Every automorphism the
 search finds is verified edge-preserving before it is trusted.
 
-The same search gives Aut(S_n, S), as the automorphisms of a colored graph
-that act faithfully on its point vertices: no chain is needed for the order.
+The same search gives Aut(S_n, S), as the automorphisms of one colored
+graph, for every cycle type, that act faithfully on its point vertices: no
+chain is needed for the order.
 
 The order identity is decided by counting, as ``verify_order_identity``
 argues: when |Aut(S_n, S)| equals the product of the first path's cells
@@ -193,10 +195,11 @@ class _AutSearch:
         for level, b in enumerate(self.base[start:], start):
             colors = self.path[level]
             cell = np.flatnonzero(colors == colors[b]).tolist()
-            # Only automorphisms found at this level fix the whole prefix and
-            # preserve ``cell`` (deeper ones fix b too and cannot enlarge its
-            # orbit), so one union-find over the cell, joined along each
-            # map found here, holds the orbit of b.
+            # One union-find over the cell, joined along each map found at
+            # this level (each fixes the prefix and maps b into the cell).
+            # The orbit count is exact because every cell vertex outside b's
+            # class is tried; joining deeper levels' maps as well would try
+            # fewer (ROADMAP direction 3).
             parent = {v: v for v in cell}
             for u in cell[1:]:
                 if _find(parent, u) == _find(parent, b):
@@ -227,19 +230,15 @@ def _union(parent: dict, u: int, v: int) -> None:
 def _edge_4cycle_counts(graph: SimpleGraph) -> list:
     """The number of 4-cycles through each edge, in edge order.
 
-    On a Cayley graph, right translation by x^-1 is an automorphism taking
-    an edge {x, t * x} to the identity edge {e, t}, so each edge takes the
-    count at the identity edge of its first label's generator: |T| counts
-    instead of |E|, spread by label tuple.
+    On a Cayley graph every element s of S = T u T^-1 has the identity edge
+    {e, s}, carrying s's label tuple, and right translation carries every
+    other edge of s onto it.  So the |S| identity edges are counted and the
+    rest read their count by label tuple.
     """
     if not isinstance(graph, CayleyGraph):
         return [count_4cycles_through(graph, e) for e in graph.edges]
-    per_generator = [
-        count_4cycles_through(graph, (0, graph.vertex_of(t)))
-        for t in graph.generating_set.elements
-    ]
     labels = graph.edge_labels
-    by_labels = {tags: per_generator[int(tags[0][:-1])] for tags in set(labels.values())}
+    by_labels = {labels[0, w]: count_4cycles_through(graph, (0, w)) for w in graph.adjacency[0]}
     return list(map(by_labels.__getitem__, map(labels.__getitem__, graph.edges)))
 
 
@@ -276,31 +275,25 @@ def aut_snt(T: GeneratorSet) -> list:
 def _conjugations(T: GeneratorSet) -> tuple:
     """(|Aut(S_n, S)|, generators), each generator checked to map S onto S.
 
-    The search runs on a graph whose automorphisms, restricted to vertices
-    0..n-1 (the points), are these conjugations, acting faithfully.  For
-    transpositions it is the cycle graph: S = T, and sigma preserves T
-    exactly when it preserves the graph whose edges T's elements are.
-    Otherwise each s in S gets a vertex, and each point x that s moves an
-    arc vertex joined to x, to s and to a head vertex joined to s(x), with
-    colours points, elements, arcs, heads: the arc x -> s(x) of s goes to
-    an arc sigma(x) -> sigma(s(x)) of the image of s, which is therefore
-    sigma s sigma^-1.  The head keeps the arc directed; joining the arcs
-    (x, s) and (s(x), s) directly lets an automorphism swap s with s^-1,
-    or reverse one cycle of an element with several.
+    The search runs on one graph for every cycle type, whose automorphisms,
+    restricted to vertices 0..n-1 (the points), are these conjugations,
+    acting faithfully.  Each s in S gets a vertex, and each point x that s
+    moves an arc vertex joined to x, to s and to a head vertex joined to
+    s(x), with colours points, elements, arcs, heads: the arc x -> s(x) of
+    s goes to an arc sigma(x) -> sigma(s(x)) of the image of s, which is
+    therefore sigma s sigma^-1.  The head keeps the arc directed; joining
+    the arcs (x, s) and (s(x), s) directly lets an automorphism swap s with
+    s^-1, or reverse one cycle of an element with several.
     """
     n = T.degree
     S = sorted(set(T.elements) | {g.inverse() for g in T.elements})
-    if T.cycle_type.parts == (2,):
-        graph, colours = cycle_graph_of(T), None
-    else:
-        colours, edges = [0] * n + [1] * len(S), []
-        for vertex, s in enumerate(S, n):
-            for x in sorted(s.support()):
-                arc = len(colours)
-                colours += [2, 3]
-                edges += [(x - 1, arc), (vertex, arc), (arc, arc + 1), (arc + 1, s(x) - 1)]
-        graph = SimpleGraph(len(colours), edges)
-    order, raw = _AutSearch(graph, colours).run()
+    colours, edges = [0] * n + [1] * len(S), []
+    for vertex, s in enumerate(S, n):
+        for x in sorted(s.support()):
+            arc = len(colours)
+            colours += [2, 3]
+            edges += [(x - 1, arc), (vertex, arc), (arc, arc + 1), (arc + 1, s(x) - 1)]
+    order, raw = _AutSearch(SimpleGraph(len(colours), edges), colours).run()
     gens = [Permutation._from_zero_based(m[:n]) for m in raw]
     if any(sorted(g.conjugate_by(sigma) for g in S) != S for sigma in gens):
         raise AssertionError("a conjugation-graph automorphism does not preserve S")
@@ -410,8 +403,10 @@ def verify_order_identity(T: GeneratorSet, budget: int = 2000) -> AutReport:
       n = 6.  At n = 2 conjugation by (1 2) acts trivially: the product 1
       against |C| = 2 sends it to the search.
 
-    |C| comes from ``_conjugations``; for transpositions its search is the
-    cycle-graph search that ``cyc_aut_order`` runs, so it is reused.
+    |C| comes from ``_conjugations``, except for transpositions: there
+    S = T, and sigma preserves a set of transpositions exactly when it is
+    an automorphism of the graph whose edges they are, so |C| is the
+    cycle-graph order already searched for ``cyc_aut_order``.
 
     Non-tree inputs still produce a report (the hypothesis status is
     recorded), since those data points bear on the conjecture that the

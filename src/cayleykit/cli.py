@@ -59,13 +59,18 @@ def cmd_construct(args) -> int:
     bound = gensets.f_lower_bound(cycle_type, args.n)
     _write(T.to_text(), args.out)
     print(f"type=({cycle_type}) n={args.n} size={len(T)} lower_bound={bound}")
+    degree = gensets.construction_degree(cycle_type)
     if cycle_type.k == 1:
-        print(f"threshold report: smallest supported degree {2 * cycle_type.parts[0] - 1}")
+        print(f"threshold report: smallest supported degree {degree}")
     else:
         plan = gensets.general_plan(cycle_type)
+        if degree == plan.degree:
+            base = f"p={plan.p}, m={plan.m}"
+        else:
+            base = f"basic tree, K_{2 * cycle_type.k + 1}"
         print(
-            f"threshold report: construction degree {plan.degree} "
-            f"(p={plan.p}, m={plan.m}); worst-case bound {plan.phi_bound}"
+            f"threshold report: construction degree {degree} "
+            f"({base}); worst-case bound {plan.phi_bound}"
         )
     return 0
 
@@ -237,10 +242,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (CayleykitError, ValueError) as exc:
+    except (CayleykitError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MemoryError:

@@ -470,28 +470,36 @@ def extend_tree(T: GeneratorSet, cycle_type: CycleType, n_target: int) -> Genera
 def construct(cycle_type: CycleType, n: int) -> GeneratorSet:
     """The set ``cayleykit construct`` prints: the cycle tree for one part, else
     the basic tree (all parts 2) or the general construction, extended to n.
-    Raises ParityError for even c(A), ValueError below the family's degree."""
+    Raises ParityError for even c(A), ValueError below ``construction_degree``."""
     c = cycle_type.c_value
     if c % 2 == 0:
         raise ParityError(
             f"c(A) = {c} is even, so sets of type ({cycle_type}) "
             "contain only even permutations and cannot generate the symmetric group"
         )
+    smallest = construction_degree(cycle_type)
+    if n < smallest:
+        raise ValueError(f"smallest supported degree for type ({cycle_type}) is {smallest}")
     if cycle_type.k == 1:
-        k = cycle_type.parts[0]
-        _check_degree(cycle_type, n, 2 * k - 1)
-        return construct_cycle_tree(k, n)
+        return construct_cycle_tree(cycle_type.parts[0], n)
     if set(cycle_type.parts) == {2}:
         base = construct_basic_tree(cycle_type.k)
     else:
         base = construct_general(cycle_type)
-    _check_degree(cycle_type, n, base.degree)
     return extend_tree(base, cycle_type, n)
 
 
-def _check_degree(cycle_type: CycleType, n: int, smallest: int) -> None:
-    if n < smallest:
-        raise ValueError(f"smallest supported degree for type ({cycle_type}) is {smallest}")
+def construction_degree(cycle_type: CycleType) -> int:
+    """The degree of the set ``construct`` starts from: 2k-1 for the cycle
+    tree of one part k, k(2k+1)+1 for the basic tree of k parts 2, else the
+    general plan's.  The basic tree's degree is the plan's exactly when
+    2k+1 is prime."""
+    k = cycle_type.k
+    if k == 1:
+        return 2 * cycle_type.parts[0] - 1
+    if set(cycle_type.parts) == {2}:
+        return k * (2 * k + 1) + 1
+    return general_plan(cycle_type).degree
 
 
 def _fresh_distribution(parts_asc: list, fresh: int) -> list:

@@ -39,21 +39,6 @@ from .errors import BudgetExceeded
 from .graphs import SimpleGraph, connected_components
 from .perms import Permutation
 
-__all__ = [
-    "SimpleGraph",
-    "CycleFactor",
-    "FlowNetwork",
-    "cycle_factor_forced",
-    "brute_cycle_factor",
-    "brute_hamiltonian",
-    "QuasiHamiltonian",
-    "is_k_quasi_hamiltonian",
-    "hamiltonian_via_qh",
-    "qh_report",
-    "coset_partition",
-]
-
-
 # Node budget of one exhaustive conflict-free path search (a DFS over simple
 # residual paths, exponential in the worst case).  Searches on the test and
 # benchmark graphs (up to 10 vertices) enter at most 91 nodes.
@@ -179,8 +164,6 @@ class FlowNetwork:
 
     def _bfs(self, source: int, targets, terminals: bool):
         """Shortest residual path from ``source`` to any node in ``targets``."""
-        if source in targets:
-            return [source]
         parent = {source: None}
         frontier = [source]
         while frontier:
@@ -246,8 +229,6 @@ class FlowNetwork:
                 crossed[pair] = uses
             return None
 
-        if source in targets:
-            return [source]
         return descend(source)
 
     def assert_mirror(self) -> None:
@@ -287,7 +268,8 @@ class FlowNetwork:
         has capacity, the exhaustive conflict-free search runs once and
         settles the question.  A source with no residual path at all cannot
         have a conflict-free one.  ``head`` and ``tail`` wrap the path (s
-        and t for an augmentation).
+        and t for an augmentation).  ``source`` is on the other side from
+        every target (y_j to {x_i}, or x_a to y's), so no path is empty.
         """
         path = self._bfs(source, targets, terminals)
         if path is None:
@@ -421,22 +403,12 @@ def brute_cycle_factor(graph: SimpleGraph, forced: Iterable[tuple]) -> Optional[
         for combo in itertools.combinations(candidates, need):
             if not set(must) <= set(combo):
                 continue
-            added = [(v, w) for w in combo]
             # partner vertices must keep room for degree 2
-            ok = True
-            for v2, w in added:
-                w_have = sum(1 for u in adj[w] if (min(u, w), max(u, w)) in chosen)
-                if w_have >= 2:
-                    ok = False
-                    break
-            if not ok:
+            if any(sum(1 for u in adj[w] if (min(u, w), max(u, w)) in chosen) >= 2 for w in combo):
                 continue
+            added = [(v, w) for w in combo]
             chosen.update(added)
-            feasible = all(
-                sum(1 for u in adj[w] if (min(u, w), max(u, w)) in chosen) <= 2
-                for _, w in added
-            )
-            result = descend(v + 1) if feasible else None
+            result = descend(v + 1)
             if result is not None:
                 return result
             chosen.difference_update(added)

@@ -31,10 +31,10 @@ _MAX_ITERATIONS = 500
 class SpectrumReport:
     """Top eigenvalues with multiplicities and residual certificates."""
 
+    # the one solver, a class constant rather than a field: perfbench/tracing.py
+    # reads it to name the spectrum_topk span
+    method = "iterative"
     kind: str                 # "adjacency" | "laplacian"
-    # "iterative", the one solver: perfbench/tracing.py reads it to name the
-    # spectrum_topk span, and tests/test_perfbench_hooks.py asserts it is measured
-    method: str
     tolerance: float
     entries: tuple            # (eigenvalue, multiplicity, max residual) descending
 
@@ -237,8 +237,7 @@ def spectrum_topk(graph, kind: str = "adjacency", k: int = 1,
         while done < k and residuals[done] <= tol:
             done += 1
         if done == k:
-            return SpectrumReport(kind, "iterative", tol,
-                                  _group_entries(values[:k], residuals[:k]))
+            return SpectrumReport(kind, tol, _group_entries(values[:k], residuals[:k]))
         filtered = _chebyshev_filter(op, X[:, done:], values, residuals, k, lo, hi)
         X = np.linalg.qr(np.hstack([X[:, :done], filtered]))[0]
     worst = float(max(residuals[:k]))

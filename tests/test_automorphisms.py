@@ -243,6 +243,20 @@ class TestRefinement:
         assert search.path[0].tolist() == [3, 2, 2, 1, 0, 0]
 
 
+# Two strongly regular graphs SRG(16, 6, 2, 2) on the cells (a, b) of Z_4^2,
+# vertex 4a + b: the Shrikhande graph, the Cayley graph of Z_4^2 on
+# +-(1, 0), +-(0, 1), +-(1, 1), and the 4 x 4 rook graph K_4 x K_4, its
+# non-isomorphic twin.  Each refines to one cell and the Shrikhande search
+# exhausts cells (no candidate image extends) on its way to the order.
+SHRIKHANDE = SimpleGraph(16, sorted({
+    tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
+    for a in range(4) for b in range(4) for da, db in ((1, 0), (0, 1), (1, 1))
+}))
+ROOK4 = SimpleGraph(16, [
+    (u, v) for u in range(16) for v in range(u + 1, 16) if (u // 4 == v // 4) != (u % 4 == v % 4)
+])
+
+
 class TestGraphAutOrder:
     def test_known_graphs(self):
         assert graph_aut_order(cycle_graph(6))[0] == 12
@@ -305,6 +319,33 @@ class TestGraphAutOrder:
         graph_file.write_text(export_edge_list(graph()))
         assert main(["aut", "--graph", str(graph_file)]) == 0
         assert f"generators={generators}" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("graph, order", [(SHRIKHANDE, 192), (ROOK4, 1152)],
+                             ids=["shrikhande", "rook4x4"])
+    def test_strongly_regular_twins_match_networkx(self, graph, order):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        g = nx.Graph(list(graph.edges))
+        assert graph_aut_order(graph)[0] == order
+        assert sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter()) == order
+
+    def test_shrikhande_search_exhausts_a_cell(self, monkeypatch):
+        # the branch where every vertex of the target cell is tried and none
+        # extends: the order stays exact only if those failures are counted
+        exhausted = []
+        extend = automorphisms._AutSearch._extend
+
+        def spied(search, level, tgt):
+            found = extend(search, level, tgt)
+            if (found is None and level < len(search.base)
+                    and np.array_equal(np.sort(tgt), search.signatures[level])):
+                exhausted.append(level)
+            return found
+
+        monkeypatch.setattr(automorphisms._AutSearch, "_extend", spied)
+        assert graph_aut_order(SHRIKHANDE)[0] == 192
+        assert exhausted
 
     def test_order_divisible_by_vertices_on_cayley_graphs(self):
         g = build_cayley(make_set(["(1 2)", "(2 3)", "(3 4)"], 4, [2]))
@@ -735,6 +776,23 @@ class TestSeededSearch:
                 assert counts[edge] == expected, (T.to_text(), edge)
                 for label in labels:
                     assert at_identity[int(label[:-1])] == expected, (T.to_text(), edge, label)
+
+    @pytest.mark.parametrize(
+        "texts, n, parts, identity_tags",
+        [
+            # generator 10 is the inverse of generator 2: one element of S
+            # carries both tags, so its count is keyed by the pair
+            (["(1 2 3)", "(1 2 4)", "(1 2 5)", "(1 3 4)", "(1 3 5)", "(1 4 5)",
+              "(2 3 4)", "(2 3 5)", "(2 4 5)", "(3 4 5)", "(1 5 2)"], 5, [3], ("2+", "10-")),
+            (["(1 2 3 4)", "(2 5 4 3)", "(1 3 5 2)"], 5, [4], ("1-",)),
+        ],
+        ids=["inverse-pair", "non-involutions"],
+    )
+    def test_label_tuple_counts_match_every_edge(self, texts, n, parts, identity_tags):
+        g = build_cayley(make_set(texts, n, parts))
+        assert identity_tags in {g.edge_labels[0, w] for w in g.adjacency[0]}
+        expected = [count_4cycles_through(g, edge) for edge in g.edges]
+        assert _edge_4cycle_counts(g) == expected
 
 
 @pytest.mark.slow

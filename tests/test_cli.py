@@ -65,6 +65,28 @@ class TestConstruct:
         assert (code, stdout) == (1, "")
         assert stderr == f"error: smallest supported degree for type {named}\n"
 
+    def test_threshold_names_the_basic_tree_it_extended(self, capsys, tmp_path):
+        # 2k+1 = 15 is not prime: the basic tree lands on 106 points, the
+        # general plan (p = 29, m = 2) on 407
+        out = tmp_path / "b7.gens"
+        code, stdout, _ = run_cli(
+            ["construct", "--type", "2,2,2,2,2,2,2", "--n", "106", "--out", str(out)], capsys
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[0] == "n=106 type=2,2,2,2,2,2,2"
+        assert "threshold report: construction degree 106 (basic tree, K_15);" in stdout
+        code, stdout, stderr = run_cli(["construct", "--type", "2,2,2,2,2,2,2", "--n", "105"],
+                                       capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: smallest supported degree for type (2,2,2,2,2,2,2) is 106\n"
+
+    def test_threshold_line_of_the_general_plan(self, capsys):
+        # (2,2,2): the basic tree on K_7 is the plan's p = 7, m = 1 degree
+        stdout = run_cli(["construct", "--type", "2,2,2", "--n", "22"], capsys)[1]
+        assert stdout.splitlines()[-1] == (
+            "threshold report: construction degree 22 (p=7, m=1); worst-case bound 94"
+        )
+
     def test_usage_error(self, capsys):
         assert run_cli(["construct", "--type", "2,2,2"], capsys)[0] == 1
 

@@ -15,6 +15,7 @@ from cayleykit.gensets import (
     construct_cycle_pair,
     construct_cycle_tree,
     construct_general,
+    construction_degree,
     eulerian_circuit_complete,
     extend_tree,
     extended_class_elements,
@@ -308,6 +309,18 @@ class TestConstruct:
             f"smallest supported degree for type ({cycle_type}) is {smallest}"
         )
         assert construct(cycle_type, smallest).degree == smallest
+
+    @pytest.mark.parametrize("parts", [[4], [6], [2, 2, 2], [2, 3], [3, 4], [2] * 5, [2] * 7])
+    def test_construction_degree_is_where_construct_starts(self, parts):
+        cycle_type = CycleType(parts)
+        smallest = construction_degree(cycle_type)
+        assert construct(cycle_type, smallest).degree == smallest
+        with pytest.raises(ValueError):
+            construct(cycle_type, smallest - 1)
+        # the basic tree on K_{2k+1} and the general plan agree when 2k+1 is prime
+        if cycle_type.k > 1 and set(parts) == {2}:
+            k = cycle_type.k
+            assert (smallest == general_plan(cycle_type).degree) == (k in (3, 5))
 
 
 class TestEulerianCircuit:

@@ -161,6 +161,37 @@ class TestPump:
         assert generates(gens, 4, chain) == "symmetric"
 
 
+class TestSchreierRepair:
+    """With the pump off, the chain starts from the generators' residues
+    alone and the Schreier check completes it: each residue it finds is
+    installed and verification resumes from the residue's stop level."""
+
+    def test_repaired_orders_match_sympy_and_the_closure(self, monkeypatch):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        monkeypatch.setattr(StabilizerChain, "_pump", lambda self: False)
+        repairs = []
+        check_level = StabilizerChain._check_level
+
+        def counted(self, i):
+            stop = check_level(self, i)
+            if stop is not None:
+                repairs.append(stop)
+            return stop
+
+        monkeypatch.setattr(StabilizerChain, "_check_level", counted)
+        rng = random.Random(3517)
+        for _ in range(64):
+            n = rng.randint(3, 9)
+            tables = [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))]
+            gens = [Permutation._from_zero_based(tuple(t)) for t in tables]
+            order = build_chain(gens, n).order()
+            oracle = combinatorics.PermutationGroup([combinatorics.Permutation(t) for t in tables])
+            assert order == oracle.order(), tables
+            if n <= 7:
+                assert order == len(enumerate_elements(gens, n, math.factorial(n))), tables
+        assert len(repairs) >= 60
+
+
 class TestSympyOracle:
     def test_orders_and_verdicts_match_sympy(self):
         combinatorics = pytest.importorskip("sympy.combinatorics")
