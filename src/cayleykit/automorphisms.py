@@ -49,6 +49,11 @@ from .perms import Permutation
 # order, before any element is formed.
 _CONJUGATION_LIST_CAP = 200_000
 
+# Most ``_extend`` calls (search nodes) one ``_AutSearch.run`` makes before
+# it raises BudgetExceeded.  K_{1,60} takes 70,210; the test suite and the
+# benchmark's Cayley graphs take at most 385.
+_SEARCH_NODE_BUDGET = 100_000
+
 
 class GraphAutomorphism:
     """A vertex bijection verified to map the edge set onto itself."""
@@ -165,6 +170,9 @@ class _AutSearch:
         ``tgt``, or None; ``tgt`` follows the path's cells down to a leaf."""
         import numpy as np
 
+        self.nodes += 1
+        if self.nodes > _SEARCH_NODE_BUDGET:
+            raise BudgetExceeded(f"automorphism search exceeded {_SEARCH_NODE_BUDGET} nodes")
         if not np.array_equal(np.sort(tgt), self.signatures[level]):
             return None
         src = self.path[level]
@@ -187,9 +195,12 @@ class _AutSearch:
 
     def run(self, start: int = 0) -> tuple:
         """Returns (order, generator mappings) of the pointwise stabilizer
-        of ``base[:start]``; the default is the whole automorphism group."""
+        of ``base[:start]``; the default is the whole automorphism group.
+
+        Raises BudgetExceeded past ``_SEARCH_NODE_BUDGET`` search nodes."""
         import numpy as np
 
+        self.nodes = 0
         gens: list = []
         order = 1
         for level, b in enumerate(self.base[start:], start):
@@ -245,7 +256,8 @@ def _edge_4cycle_counts(graph: SimpleGraph) -> list:
 def graph_aut_order(graph: SimpleGraph, budget: int = 2000) -> tuple:
     """Exact |Aut(G)| with verified generating automorphisms.
 
-    Raises BudgetExceeded when the vertex count is past ``budget``.
+    Raises BudgetExceeded when the vertex count is past ``budget``, or the
+    search past ``_SEARCH_NODE_BUDGET`` nodes.
     """
     if graph.vertex_count > budget:
         raise BudgetExceeded(f"{graph.vertex_count} vertices exceeds budget {budget}")

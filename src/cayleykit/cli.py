@@ -10,6 +10,7 @@ report headers where randomness exists.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -126,11 +127,10 @@ def cmd_aut(args) -> int:
         return 0 if report.identity_holds else VERIFICATION_FAILURE
     graph = _load_graph(args.graph)
     order, gens = graph_aut_order(graph, budget=args.budget)
-    print(f"vertices={graph.vertex_count}")
-    print(f"aut_order={order}")
-    print(f"generators={len(gens)}")
+    text = f"vertices={graph.vertex_count}\naut_order={order}\ngenerators={len(gens)}\n"
     if args.timing:
-        print(f"elapsed_seconds={time.perf_counter() - started:.3f}")
+        text += f"elapsed_seconds={time.perf_counter() - started:.3f}\n"
+    _write(text, args.out)
     return 0
 
 
@@ -143,14 +143,13 @@ def cmd_qh(args) -> int:
         verdict = "hamiltonian" if via else "non-hamiltonian"
         guard = quasiham._BRUTE_VERTEX_GUARD
         if graph.vertex_count > guard:
-            print(f"{verdict} (oracle skipped above {guard} vertices)")
-            return 0
-        oracle = quasiham.brute_hamiltonian(graph)
-        if via == oracle:
-            print(f"{verdict} (matches oracle)")
-            return 0
-        print(f"{verdict} (oracle disagrees: {oracle})")
-        return VERIFICATION_FAILURE
+            note, code = f"oracle skipped above {guard} vertices", 0
+        elif via == (oracle := quasiham.brute_hamiltonian(graph)):
+            note, code = "matches oracle", 0
+        else:
+            note, code = f"oracle disagrees: {oracle}", VERIFICATION_FAILURE
+        _write(f"{verdict} ({note})\n", args.out)
+        return code
     k_max = args.k if args.k else max(1, graph.vertex_count - 2)
     rows = quasiham.qh_report(graph, k_max)
     lines = ["k,edges,connected"]
@@ -176,7 +175,9 @@ def cmd_prime(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> _Parser:
+    """The CLI parser, built on the first call and shared after that."""
     parser = _Parser(prog="cayleykit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -288,6 +288,15 @@ class TestGraphAutOrder:
         with pytest.raises(BudgetExceeded):
             graph_aut_order(cycle_graph(10), budget=5)
 
+    def test_search_node_budget(self, monkeypatch):
+        search = automorphisms._AutSearch(petersen_graph())
+        assert search.run()[0] == 120
+        monkeypatch.setattr(automorphisms, "_SEARCH_NODE_BUDGET", search.nodes)
+        assert graph_aut_order(petersen_graph())[0] == 120
+        monkeypatch.setattr(automorphisms, "_SEARCH_NODE_BUDGET", search.nodes - 1)
+        with pytest.raises(BudgetExceeded, match=f"exceeded {search.nodes - 1} nodes"):
+            graph_aut_order(petersen_graph())
+
     @pytest.mark.parametrize(
         "graph, order",
         [
@@ -833,3 +842,12 @@ def test_eight_point_path_through_the_order_identity():
     assert report.graph_aut_order == 80640
     assert report.aut_snt_order == 2
     assert report.identity_holds
+
+
+@pytest.mark.slow
+def test_rook_and_shrikhande_union_stops_at_the_node_budget():
+    """Each graph alone takes about 40 search nodes; their disjoint union
+    needs about 860,000, so the search stops at the budget."""
+    union = SimpleGraph(32, list(ROOK4.edges) + [(u + 16, v + 16) for u, v in SHRIKHANDE.edges])
+    with pytest.raises(BudgetExceeded, match=f"exceeded {automorphisms._SEARCH_NODE_BUDGET} nodes"):
+        graph_aut_order(union)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cayleykit import cli, quasiham
+from cayleykit import automorphisms, cli, quasiham
 from cayleykit.cli import main
 from cayleykit.graphs import SimpleGraph, export_edge_list, path_graph, petersen_graph, cycle_graph
 
@@ -305,6 +305,23 @@ class TestGraphCommands:
         assert code == 1
         assert "budget" in stderr
 
+    def test_aut_search_node_budget_is_an_error_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(automorphisms, "_SEARCH_NODE_BUDGET", 3)
+        graph_file = tmp_path / "pet.el"
+        graph_file.write_text(export_edge_list(petersen_graph()))
+        code, stdout, stderr = run_cli(["aut", "--graph", str(graph_file)], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: automorphism search exceeded 3 nodes\n"
+
+    def test_aut_graph_out_file(self, capsys, tmp_path):
+        graph_file = tmp_path / "c6.el"
+        graph_file.write_text(export_edge_list(cycle_graph(6)))
+        out = tmp_path / "c6.aut"
+        code, stdout, _ = run_cli(["aut", "--graph", str(graph_file), "--out", str(out)], capsys)
+        assert (code, stdout) == (0, "")
+        assert out.read_text() == run_cli(["aut", "--graph", str(graph_file)], capsys)[1]
+        assert out.read_text().startswith("vertices=6\naut_order=12\n")
+
     def test_cayley_cap_exceeded(self, capsys, tmp_path):
         gens = tmp_path / "path.gens"
         gens.write_text("n=4 type=2\n(1 2)\n(2 3)\n(3 4)\n")
@@ -371,6 +388,15 @@ class TestGraphCommands:
         )
         assert code == 0
         assert "non-hamiltonian (matches oracle)" in stdout
+
+    def test_qh_hamiltonian_check_out_file(self, capsys, tmp_path):
+        graph_file = tmp_path / "c5.el"
+        graph_file.write_text(export_edge_list(cycle_graph(5)))
+        out = tmp_path / "c5.qh"
+        argv = ["qh", "--graph", str(graph_file), "--check-hamiltonian"]
+        code, stdout, _ = run_cli(argv + ["--out", str(out)], capsys)
+        assert (code, stdout) == (0, "")
+        assert out.read_text() == "hamiltonian (matches oracle)\n" == run_cli(argv, capsys)[1]
 
     def test_qh_report_csv(self, capsys, tmp_path):
         graph_file = tmp_path / "c5.el"
@@ -488,6 +514,39 @@ class TestDeterminism:
             )
             assert result.returncode == 0, command
             assert result.stdout
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; each call still behaves
+    as a call through a freshly built parser."""
+
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys, tmp_path):
+        graph_file = tmp_path / "c5.el"
+        graph_file.write_text(export_edge_list(cycle_graph(5)))
+        runs = [
+            ["qh", "--graph", str(graph_file), "--check-hamiltonian"],
+            ["qh"],
+            ["construct", "--help"],
+            ["no-such-command"],
+            ["qh", "--graph", str(graph_file), "--check-hamiltonian"],
+        ]
+        fresh = []
+        for argv in runs:
+            cli.make_parser.cache_clear()
+            fresh.append(run_cli(argv, capsys))
+        cli.make_parser.cache_clear()
+        reused = [run_cli(argv, capsys) for argv in runs]
+        assert cli.make_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 1, 0, 1, 0]
+        assert reused[0][1] == "hamiltonian (matches oracle)\n"
+        assert reused[1][1] == "" and reused[1][2].startswith("usage: cayleykit qh")
+        assert reused[2][1].startswith("usage: cayleykit construct")
+        assert reused[3][2].startswith("usage: cayleykit")
+
+    def test_import_builds_no_parser(self):
+        script = "import cayleykit.cli as cli; print(cli.make_parser.cache_info().currsize)"
+        assert run_fresh(script) == "0\n"
 
 
 class TestColdStart:
