@@ -10,11 +10,11 @@ Refinement is one array pass per round over a CSR (neighbour, 4-cycle
 count) table built once per search: each round sorts every vertex's
 encoded neighbour codes and ranks the vertex keys with one lexsort.  The
 first path of individualized base points is refined once; the backtracking
-search refines only target colorings, pruning candidate images by one
-union-find per level over the base point's cell, joined along each
-automorphism found there.  The returned order is the product of the
-base-point orbit sizes, so no separate stabilizer chain over the vertex
-set is needed.  Every automorphism the
+search refines only target colorings and runs the levels bottom-up,
+skipping every candidate image already in the base point's orbit under
+the automorphisms found so far (McKay and Piperno 2014).  The returned
+order is the product of the base-point orbit sizes, so no separate
+stabilizer chain over the vertex set is needed.  Every automorphism the
 search finds is verified edge-preserving before it is trusted.
 
 The same search gives Aut(S_n, S), as the automorphisms of one colored
@@ -50,8 +50,9 @@ from .perms import Permutation
 _CONJUGATION_LIST_CAP = 200_000
 
 # Most ``_extend`` calls (search nodes) one ``_AutSearch.run`` makes before
-# it raises BudgetExceeded.  K_{1,60} takes 70,210; the test suite and the
-# benchmark's Cayley graphs take at most 385.
+# it raises BudgetExceeded.  K_{1,m} takes m(m-1)/2 (1,770 at m = 60,
+# 19,900 at m = 200); every other search in the test suite takes at most 55,
+# and the benchmark's Cayley graphs at most 11.
 _SEARCH_NODE_BUDGET = 100_000
 
 
@@ -203,39 +204,36 @@ class _AutSearch:
         self.nodes = 0
         gens: list = []
         order = 1
-        for level, b in enumerate(self.base[start:], start):
-            colors = self.path[level]
-            cell = np.flatnonzero(colors == colors[b]).tolist()
-            # One union-find over the cell, joined along each map found at
-            # this level (each fixes the prefix and maps b into the cell).
-            # The orbit count is exact because every cell vertex outside b's
-            # class is tried; joining deeper levels' maps as well would try
-            # fewer (ROADMAP direction 3).
-            parent = {v: v for v in cell}
-            for u in cell[1:]:
-                if _find(parent, u) == _find(parent, b):
+        for level in reversed(range(start, len(self.base))):
+            # Every map held was found at this level or deeper, so it fixes
+            # base[:level] pointwise, and those from deeper levels generate
+            # the stabilizer of base[:level + 1] (so b starts alone).  A cell
+            # vertex already in b's orbit under the held maps needs no search
+            # and every other one is searched, so the orbit ends exact.
+            b, colors = self.base[level], self.path[level]
+            orbit = {b}
+            for u in np.flatnonzero(colors == colors[b]).tolist():
+                if u in orbit:
                     continue
                 found = self._extend(
                     level + 1, self.refine(self._individualize(colors, u))
                 )
                 if found is not None:
                     gens.append(found)
-                    for v in cell:
-                        _union(parent, v, found[v])
-            root = _find(parent, b)
-            order *= sum(_find(parent, v) == root for v in cell)
+                    orbit = _orbit(b, gens)
+            order *= len(orbit)
         return order, gens
 
 
-def _find(parent: dict, v: int) -> int:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
-
-
-def _union(parent: dict, u: int, v: int) -> None:
-    parent[_find(parent, u)] = _find(parent, v)
+def _orbit(b: int, gens: list) -> set:
+    """The orbit of ``b`` under the group the vertex mappings generate."""
+    orbit, frontier = {b}, [b]
+    for v in frontier:
+        for g in gens:
+            if g[v] not in orbit:
+                orbit.add(g[v])
+                frontier.append(g[v])
+    return orbit
 
 
 def _edge_4cycle_counts(graph: SimpleGraph) -> list:

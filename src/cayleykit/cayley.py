@@ -18,6 +18,7 @@ mutated.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress, count
 from operator import lt
 
@@ -107,25 +108,13 @@ def cycle_graph_of(generating_set: GeneratorSet) -> SimpleGraph:
     return SimpleGraph(generating_set.degree, edges)
 
 
-def element_degrees(generating_set: GeneratorSet) -> list:
-    """Per element: how many of its support points other elements also move."""
-    sups = generating_set.supports()
-    out = []
-    for i, s in enumerate(sups):
-        others = set()
-        for j, t in enumerate(sups):
-            if i != j:
-                others |= s & t
-        out.append(len(others))
-    return out
-
-
 def is_normal(generating_set: GeneratorSet) -> tuple:
     """Decide the tree-with-sparse-leaves condition; returns (bool, reasons).
 
     Requires: more than two single-cycle elements, a split set, a cycle
     graph that is a tree, and every element sharing support with at most
-    one leaf (a leaf is an element of degree 1).
+    one leaf (a leaf is an element with exactly one support point that
+    another element also moves).
 
     The tree test counts.  Two supports of a split set share at most one
     point, so the cycle paths are edge-disjoint, and each path connects its
@@ -143,17 +132,13 @@ def is_normal(generating_set: GeneratorSet) -> tuple:
     n = generating_set.degree
     if not (path_edges == n - 1 and groups.orbits(generating_set.elements, n).is_single):
         reasons.append("cycle graph is not a tree")
-    degrees = element_degrees(generating_set)
-    leaves = {i for i, d in enumerate(degrees) if d == 1}
     sups = generating_set.supports()
+    movers = Counter(x for s in sups for x in s)
+    leaves = [i for i, s in enumerate(sups) if sum(movers[x] > 1 for x in s) == 1]
     for i, s in enumerate(sups):
-        adjacent_leaves = [
-            j for j in leaves if j != i and s & sups[j]
-        ]
-        if len(adjacent_leaves) > 1:
-            reasons.append(
-                f"element {i} touches {len(adjacent_leaves)} leaves"
-            )
+        touched = sum(j != i and not s.isdisjoint(sups[j]) for j in leaves)
+        if touched > 1:
+            reasons.append(f"element {i} touches {touched} leaves")
     return (not reasons), reasons
 
 

@@ -161,8 +161,7 @@ def cmd_qh(args) -> int:
 def cmd_spectrum(args) -> int:
     graph = _load_graph(args.graph)
     report = spectral.spectrum_topk(graph, args.kind, k=args.top, tol=args.tol, seed=args.seed)
-    print(f"# seed={args.seed}")
-    _write(report.to_csv(), args.out)
+    _write(f"# seed={args.seed}\n" + report.to_csv(), args.out)
     return 0
 
 

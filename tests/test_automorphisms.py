@@ -21,6 +21,7 @@ from cayleykit.gensets import GeneratorSet
 from cayleykit.graphs import (
     SimpleGraph,
     complete_graph,
+    connected_components,
     cycle_graph,
     export_edge_list,
     petersen_graph,
@@ -257,6 +258,16 @@ ROOK4 = SimpleGraph(16, [
 ])
 
 
+def assert_star_search(m):
+    star = SimpleGraph(m + 1, [(0, leaf) for leaf in range(1, m + 1)])
+    order, gens = graph_aut_order(star)
+    assert (order, len(gens)) == (math.factorial(m), m - 1)
+    search = automorphisms._AutSearch(star)
+    found, raw = search.run()
+    assert (found, sorted(raw)) == (order, [g.mapping for g in gens])
+    assert search.nodes == m * (m - 1) // 2
+
+
 class TestGraphAutOrder:
     def test_known_graphs(self):
         assert graph_aut_order(cycle_graph(6))[0] == 12
@@ -297,6 +308,13 @@ class TestGraphAutOrder:
         with pytest.raises(BudgetExceeded, match=f"exceeded {search.nodes - 1} nodes"):
             graph_aut_order(petersen_graph())
 
+    @pytest.mark.parametrize("m", [60, 68])
+    def test_stars_search_one_node_per_leaf_pair(self, m):
+        # the maps held from deeper levels permute the rest of level L's
+        # cell transitively, so level L tries one leaf, and its map takes
+        # one node per level from L + 1 down: m(m-1)/2 nodes, m-1 generators
+        assert_star_search(m)
+
     @pytest.mark.parametrize(
         "graph, order",
         [
@@ -315,10 +333,10 @@ class TestGraphAutOrder:
         "graph, generators",
         [
             (lambda: build_cayley(PATH5), 3),
-            (lambda: build_cayley(tree_set(5, [(1, 2), (1, 3), (1, 4), (1, 5)])), 7),
+            (lambda: build_cayley(tree_set(5, [(1, 2), (1, 3), (1, 4), (1, 5)])), 5),
             (lambda: build_cayley(tree_set(6, [(i, i + 1) for i in range(1, 6)])), 4),
-            (petersen_graph, 4),
-            (lambda: SimpleGraph(6, [(a, b) for a in range(3) for b in range(3, 6)]), 7),
+            (petersen_graph, 3),
+            (lambda: SimpleGraph(6, [(a, b) for a in range(3) for b in range(3, 6)]), 5),
         ],
         ids=["path5", "star5", "path6", "petersen", "k33"],
     )
@@ -804,6 +822,46 @@ class TestSeededSearch:
         assert _edge_4cycle_counts(g) == expected
 
 
+def transposition_graph_classes(n):
+    """One connected graph on the points 0..n-1 per isomorphism class, as
+    the least sorted edge tuple among its relabellings, with its
+    automorphism count over all n! point permutations."""
+    pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n)))
+    seen, classes = set(), []
+    for mask in range(1, 1 << len(pairs)):
+        edges = tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
+        if edges in seen or len(connected_components(n, edges)) != 1:
+            continue
+        images = [tuple(sorted(tuple(sorted((s[a], s[b]))) for a, b in edges)) for s in perms]
+        seen.update(images)
+        classes.append((min(images), images.count(edges)))
+    return classes
+
+
+class TestTranspositionClosedForm:
+    """For a set T of transpositions, the edges of a connected point graph
+    G_T on n >= 3 points: sigma preserves T iff it is an automorphism of
+    G_T, so |Aut(S_n, T)| = |Aut(G_T)|, and |Aut(Cay(S_n, T))| equals
+    n! |Aut(G_T)| except on C_4 (768) and K_n (2 (n!)^2) (Ganesan 2013)."""
+
+    @pytest.mark.parametrize("n, count", [(3, 2), (4, 6), (5, 21)])
+    def test_every_connected_point_graph(self, n, count):
+        classes = transposition_graph_classes(n)
+        assert len(classes) == count
+        for edges, aut in classes:
+            T = tree_set(n, [(a + 1, b + 1) for a, b in edges])
+            cycle4 = n == 4 and len(edges) == 4 and all(
+                sum(v in e for e in edges) == 2 for v in range(4)
+            )
+            complete = len(edges) == n * (n - 1) // 2
+            order = 768 if cycle4 else 2 * math.factorial(n) ** 2 if complete else None
+            assert graph_aut_order(build_cayley(T))[0] == (order or math.factorial(n) * aut)
+            report = verify_order_identity(T)
+            assert report.aut_snt_order == aut
+            assert report.identity_holds == (order is None)
+
+
 @pytest.mark.slow
 def test_seven_point_graphs_at_full_scale():
     """Both 5040-vertex graphs within the order-identity budget: the path's
@@ -813,7 +871,7 @@ def test_seven_point_graphs_at_full_scale():
     assert (order, len(gens)) == (10080, 4)
     pair = make_set(["(1 2 3 4)", "(4 5 6 7)"], 7, [4])
     order, gens = graph_aut_order(build_cayley(pair, cap=6000), budget=6000)
-    assert (order, len(gens)) == (40320, 5)
+    assert (order, len(gens)) == (40320, 4)
     assert "identity_holds=yes" in verify_order_identity(pair, budget=6000).to_text()
 
 
@@ -851,3 +909,8 @@ def test_rook_and_shrikhande_union_stops_at_the_node_budget():
     union = SimpleGraph(32, list(ROOK4.edges) + [(u + 16, v + 16) for u, v in SHRIKHANDE.edges])
     with pytest.raises(BudgetExceeded, match=f"exceeded {automorphisms._SEARCH_NODE_BUDGET} nodes"):
         graph_aut_order(union)
+
+
+@pytest.mark.slow
+def test_star_with_two_hundred_leaves_searches_one_node_per_leaf_pair():
+    assert_star_search(200)

@@ -10,7 +10,6 @@ from cayleykit.cayley import (
     commuting_4cycle,
     count_4cycles_through,
     cycle_graph_of,
-    element_degrees,
     is_normal,
     walk_in_graph,
 )
@@ -262,7 +261,32 @@ class TestCycleGraphAndNormality:
         assert any("|T| = 2" in r for r in reasons)
 
     def test_degrees_and_leaves(self):
-        assert element_degrees(PATH5) == [1, 2, 2, 1]
+        # the leaf clause against per-element degrees: an element's degree
+        # is how many of its support points other elements also move, and
+        # a leaf is an element of degree 1
+        def leaf_reasons(T):
+            sups = T.supports()
+            degrees = [
+                len(set().union(*(s & t for j, t in enumerate(sups) if j != i)))
+                for i, s in enumerate(sups)
+            ]
+            leaves = [j for j, d in enumerate(degrees) if d == 1]
+            touched = [sum(j != i and bool(s & sups[j]) for j in leaves) for i, s in enumerate(sups)]
+            return [f"element {i} touches {t} leaves" for i, t in enumerate(touched) if t > 1]
+
+        assert is_normal(PATH5) == (True, []) and leaf_reasons(PATH5) == []
+        spider = make_set(["(1 2)", "(1 3)", "(1 4)", "(4 5)"], 5, [2])
+        assert is_normal(spider) == (False, ["element 2 touches 3 leaves"])
+        assert leaf_reasons(spider) == ["element 2 touches 3 leaves"]
+        rng = random.Random(7)
+        flagged = 0
+        for _ in range(400):
+            T = random_cycle_set(rng)
+            if is_split(T):
+                found = [r for r in is_normal(T)[1] if r.endswith(" leaves")]
+                assert found == leaf_reasons(T), T.to_text()
+                flagged += bool(found)
+        assert flagged >= 50
 
     def test_cycle_graph_edges(self):
         graph = cycle_graph_of(make_set(["(1 2 3 4)", "(4 5 6 7)"], 7, [4]))

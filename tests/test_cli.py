@@ -380,6 +380,16 @@ class TestGraphCommands:
         assert (code, stdout) == (1, "")
         assert stderr.startswith("error: block iteration stalled at residual")
 
+    def test_spectrum_out_file_keeps_the_seed_header(self, capsys, tmp_path):
+        graph_file = tmp_path / "pet.el"
+        graph_file.write_text(export_edge_list(petersen_graph()))
+        out = tmp_path / "pet.csv"
+        argv = ["spectrum", "--graph", str(graph_file)]
+        code, stdout, _ = run_cli(argv + ["--out", str(out)], capsys)
+        assert (code, stdout) == (0, "")
+        assert out.read_text().startswith("# seed=0\nkind,rank,")
+        assert out.read_text() == run_cli(argv, capsys)[1]
+
     def test_qh_hamiltonian_check(self, capsys, tmp_path):
         graph_file = tmp_path / "pet.el"
         graph_file.write_text(export_edge_list(petersen_graph()))
