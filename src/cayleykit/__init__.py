@@ -57,7 +57,6 @@ from .quasiham import (
     coset_partition,
     cycle_factor_forced,
     hamiltonian_via_qh,
-    is_k_quasi_hamiltonian,
     qh_report,
 )
 from .spectral import (

@@ -350,9 +350,12 @@ def _forced_flow(graph: SimpleGraph, R: frozenset) -> Optional[FlowNetwork]:
     """A network carrying a symmetric flow of value 2m with every edge of the
     normalized set ``R`` forced (in sorted order), or None when no cycle
     factor contains ``R``.  Raises ValueError for a member of ``R`` that is
-    not an edge of ``graph``.
+    not an edge of ``graph``.  A vertex with fewer than two neighbours lies
+    on no cycle, so no network is built for it.
     """
     _check_forced(graph, R)
+    if any(len(nbrs) < 2 for nbrs in graph.adjacency):
+        return None
     net = FlowNetwork(graph)
     if all(net.force_edge_pair(i, j) for i, j in sorted(R)) and net.run_to_max() == 2 * net.m:
         return net
@@ -574,12 +577,6 @@ class QuasiHamiltonian:
         if k < 1:
             raise ValueError("k must be >= 1")
         return self.qh_conn(frozenset(), k)
-
-
-def is_k_quasi_hamiltonian(graph: SimpleGraph, k: int) -> bool:
-    if not graph.is_connected():
-        raise ValueError("quasi-hamiltonicity is defined for connected graphs")
-    return QuasiHamiltonian(graph).is_k_quasi_hamiltonian(k)
 
 
 def hamiltonian_via_qh(graph: SimpleGraph) -> bool:

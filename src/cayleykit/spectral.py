@@ -2,14 +2,14 @@
 
 One solver serves every graph and size: Chebyshev-filtered block subspace
 iteration (Zhou and Saad, J. Comput. Phys. 2007) over neighbor arrays, with
-Rayleigh-Ritz on the small block matrix by the in-repo cyclic Jacobi
-method.  The block holds k columns plus a fixed guard, so a repeated
-eigenvalue costs no extra passes.  Iteration order is fixed and the start
-block comes from a seeded generator, so results are reproducible; every
-reported eigenvalue is the Rayleigh quotient of a unit vector v and carries
-the residual certificate ||Mv - lambda v|| <= tol.  numpy supplies array
-storage and arithmetic only; it is imported inside the functions that use
-it, so ``import cayleykit`` stays numpy-free.
+Rayleigh-Ritz on the small block matrix.  The block holds k columns plus a
+fixed guard, so a repeated eigenvalue costs no extra passes.  Iteration
+order is fixed and the start block comes from a seeded generator, so
+results are reproducible; every reported eigenvalue is the Rayleigh
+quotient of a unit vector v and carries the residual certificate
+||Mv - lambda v|| <= tol.  numpy supplies the arrays, the block's QR and
+the small symmetric eigensolve (LAPACK); it is imported inside the
+functions that use it, so ``import cayleykit`` stays numpy-free.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ _BLOCK_GUARD = 4         # block columns beyond k
 _FILTER_DEGREE = 24      # Chebyshev degree per iteration, before the gain cap
 _MAX_GAIN = 1e8          # largest filter gain of the top over the k-th Ritz value
 _CUT_GAP = 0.02          # share of the way to lo that the cut drops below a cluster
-_RITZ_TOL = 1e-12        # Jacobi tolerance on the small Rayleigh-Ritz matrix
 _MAX_ITERATIONS = 500
 
 
@@ -54,54 +53,15 @@ class SpectrumReport:
         return "\n".join(lines) + "\n"
 
 
-def jacobi_eigensystem(M: np.ndarray, tol: float = 1e-10) -> tuple:
-    """All eigenvalues and vectors of a symmetric matrix by cyclic Jacobi.
-
-    Sweeps rotate away off-diagonal entries in fixed row order until the
-    off-diagonal norm drops below tol times the matrix norm.
-    """
+def jacobi_eigensystem(M: np.ndarray) -> tuple:
+    """All eigenvalues of a symmetric matrix, descending, and their vectors in
+    the same column order, by LAPACK's symmetric solver (``eigh`` returns
+    them ascending).  The name is kept because perfbench/tracing.py times
+    the Rayleigh-Ritz step under it."""
     import numpy as np
 
-    A = np.array(M, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = max(float(np.sqrt((A * A).sum())), 1.0)
-
-    def _off_norm() -> float:
-        # sum the off-diagonal entries directly; subtracting the diagonal
-        # from the full norm cancels catastrophically near convergence
-        B = A.copy()
-        np.fill_diagonal(B, 0.0)
-        return float(np.sqrt((B * B).sum()))
-
-    for _ in range(60):
-        off = _off_norm()
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol * scale / max(n, 1) / 10:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                vp = c * V[:, p] - s * V[:, q]
-                vq = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = vp, vq
-    else:
-        off = _off_norm()
-        raise ConvergenceError(f"Jacobi sweeps did not converge (off = {off:.3g})", off)
-    values = np.diag(A).copy()
-    order = np.argsort(-values, kind="stable")
-    return values[order], V[:, order]
+    values, vectors = np.linalg.eigh(M)
+    return values[::-1], vectors[:, ::-1]
 
 
 class _SparseOperator:
@@ -145,11 +105,12 @@ class _SparseOperator:
 def _rayleigh_ritz(op: _SparseOperator, X: np.ndarray) -> tuple:
     """Ritz pairs of the orthonormal block X, descending: (values, vectors,
     residual norms).  Each value is the Rayleigh quotient of its normalized
-    vector, not the Jacobi diagonal, so it carries the vector's accuracy."""
+    vector, not the small matrix's eigenvalue, so it carries the vector's
+    accuracy."""
     import numpy as np
 
     MX = op.apply(X)
-    _, S = jacobi_eigensystem(X.T @ MX, tol=_RITZ_TOL)
+    _, S = jacobi_eigensystem(X.T @ MX)
     X, MX = X @ S, MX @ S
     norms = np.sqrt((X * X).sum(axis=0))
     X, MX = X / norms, MX / norms

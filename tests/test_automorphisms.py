@@ -27,6 +27,7 @@ from cayleykit.graphs import (
     petersen_graph,
 )
 from cayleykit.perms import CycleType, Permutation
+from cayleykit.spectral import spectrum_topk
 
 
 def P(text, n):
@@ -839,11 +840,28 @@ def transposition_graph_classes(n):
     return classes
 
 
+def assert_gap_of_the_point_graph(cayley, n, edges):
+    """Cay(S_n, T) is |T|-regular and its Laplacian gap |T| - mu_2 is the
+    Laplacian gap of G_T (Caputo, Liggett and Richthammer, JAMS 2010);
+    returns that gap."""
+    laplacian = np.zeros((n, n))
+    for a, b in edges:
+        laplacian[a, a] += 1
+        laplacian[b, b] += 1
+        laplacian[a, b] = laplacian[b, a] = -1
+    gap = np.linalg.eigvalsh(laplacian)[1]
+    mu2 = spectrum_topk(cayley, "adjacency", k=2).eigenvalues[1]
+    assert len(edges) - mu2 == pytest.approx(gap, abs=1e-8)
+    return gap
+
+
 class TestTranspositionClosedForm:
     """For a set T of transpositions, the edges of a connected point graph
     G_T on n >= 3 points: sigma preserves T iff it is an automorphism of
     G_T, so |Aut(S_n, T)| = |Aut(G_T)|, and |Aut(Cay(S_n, T))| equals
-    n! |Aut(G_T)| except on C_4 (768) and K_n (2 (n!)^2) (Ganesan 2013)."""
+    n! |Aut(G_T)| except on C_4 (768) and K_n (2 (n!)^2) (Ganesan 2013).
+    The spectral gap of Cay(S_n, T) is that of G_T (Caputo, Liggett and
+    Richthammer 2010)."""
 
     @pytest.mark.parametrize("n, count", [(3, 2), (4, 6), (5, 21)])
     def test_every_connected_point_graph(self, n, count):
@@ -856,10 +874,20 @@ class TestTranspositionClosedForm:
             )
             complete = len(edges) == n * (n - 1) // 2
             order = 768 if cycle4 else 2 * math.factorial(n) ** 2 if complete else None
-            assert graph_aut_order(build_cayley(T))[0] == (order or math.factorial(n) * aut)
+            cayley = build_cayley(T)
+            assert graph_aut_order(cayley)[0] == (order or math.factorial(n) * aut)
             report = verify_order_identity(T)
             assert report.aut_snt_order == aut
             assert report.identity_holds == (order is None)
+            assert_gap_of_the_point_graph(cayley, n, edges)
+
+    @pytest.mark.parametrize("edges, gap", [
+        ([(i, i + 1) for i in range(5)], 2 - 2 * math.cos(math.pi / 6)),
+        ([(0, i) for i in range(1, 6)], 1.0),
+    ], ids=["path6", "star6"])
+    def test_six_point_gap(self, edges, gap):
+        cayley = build_cayley(tree_set(6, [(a + 1, b + 1) for a, b in edges]))
+        assert assert_gap_of_the_point_graph(cayley, 6, edges) == pytest.approx(gap, abs=1e-12)
 
 
 @pytest.mark.slow

@@ -26,7 +26,6 @@ from cayleykit.quasiham import (
     coset_partition,
     cycle_factor_forced,
     hamiltonian_via_qh,
-    is_k_quasi_hamiltonian,
     qh_report,
 )
 
@@ -82,6 +81,15 @@ class TestCycleFactorForced:
             assert (mine is None) == (oracle is None)
             if mine is not None:
                 assert set(forced) <= mine.edges
+
+    def test_vertex_below_degree_two_has_no_factor(self):
+        # G(300, 4/300) has isolated and degree-1 vertices; without the
+        # degree test the flow search runs out of its budget first
+        nx = pytest.importorskip("networkx")
+        sparse = nx.gnp_random_graph(300, 4 / 300, seed=0)
+        g = SimpleGraph(300, sparse.edges)
+        assert cycle_factor_forced(g, []) is None
+        assert QuasiHamiltonian(g).qh1(frozenset()) == frozenset()
 
     def test_petersen_factor_is_pinned(self):
         # The factor the demo prints; a change of search order changes it.
@@ -164,7 +172,7 @@ class TestHamiltonicity:
         assert hamiltonian_via_qh(graph) == brute_hamiltonian(graph)
 
     def test_cycle_is_quasi_hamiltonian_at_full_depth(self):
-        assert is_k_quasi_hamiltonian(cycle_graph(6), 4)
+        assert QuasiHamiltonian(cycle_graph(6)).is_k_quasi_hamiltonian(4)
 
     def test_small_degree_guard(self):
         with pytest.raises(ValueError):

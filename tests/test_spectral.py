@@ -66,8 +66,8 @@ def assert_matches_eigvalsh(g, kind, k, tol=1e-8):
 
 
 class TestDenseSolver:
-    """Small graphs, where the block spans the whole space, and the Jacobi
-    kernel that does the block's Rayleigh-Ritz step."""
+    """Small graphs, where the block spans the whole space, and the small
+    symmetric solve that does the block's Rayleigh-Ritz step."""
 
     def test_c6_adjacency_full_spectrum(self):
         report = spectrum_topk(cycle_graph(6), "adjacency", k=6)
@@ -193,6 +193,63 @@ class TestClosedForms:
             # the 12-digit column prints the Rayleigh quotients exactly
             rows = report.to_csv().splitlines()[1:]
             assert [row.split(",")[2] for row in rows] == ["6", "5"]
+
+
+def pair7_cayley():
+    texts = ["(1 2 3 4)", "(4 5 6 7)"]
+    T = GeneratorSet(7, [Permutation.from_text(t, 7) for t in texts], CycleType([4]))
+    return build_cayley(T, cap=6000)
+
+
+BENCHMARK_GRAPHS = {
+    "path4": lambda: path_cayley(4),
+    "star4": lambda: star_cayley(4),
+    "path7": lambda: path_cayley(7),
+    "star7": lambda: star_cayley(7),
+    "pair7": pair7_cayley,
+}
+
+
+class TestBenchmarkGraphs:
+    """The unrelabelled graphs of the benchmark's spectrum jobs at the CLI's
+    k = 2: the eigenvalue and multiplicity columns as printed."""
+
+    @pytest.mark.parametrize("name, kind, printed", [
+        ("path4", "adjacency", ["3", "2.41421356237"]),
+        ("path4", "laplacian", ["6", "5.41421356237"]),
+        ("star4", "adjacency", ["3", "2"]),
+        ("star4", "laplacian", ["6", "5"]),
+        ("path7", "adjacency", ["6", "5.8019377358"]),
+        ("star7", "laplacian", ["12", "11"]),
+        ("pair7", "adjacency", ["4", "3.64575131106"]),
+        ("pair7", "laplacian", ["8", "7.64575131106"]),
+    ])
+    def test_printed_columns(self, name, kind, printed):
+        tol = 1e-8
+        report = spectrum_topk(BENCHMARK_GRAPHS[name](), kind, k=2, tol=tol)
+        rows = [row.split(",") for row in report.to_csv().splitlines()[1:]]
+        assert [row[2:4] for row in rows] == [[value, "1"] for value in printed]
+        assert all(residual <= tol for _, _, residual in report.entries)
+
+    def test_every_rayleigh_ritz_step_solves_through_the_module_name(self, monkeypatch):
+        # perfbench/tracing.py times the Ritz step by wrapping this attribute
+        from cayleykit import spectral
+
+        calls, ritz_steps = [], []
+        solve, ritz = spectral.jacobi_eigensystem, spectral._rayleigh_ritz
+
+        def spy_solve(M):
+            calls.append(M.shape)
+            return solve(M)
+
+        def spy_ritz(op, X):
+            ritz_steps.append(X.shape[1])
+            return ritz(op, X)
+
+        monkeypatch.setattr(spectral, "jacobi_eigensystem", spy_solve)
+        monkeypatch.setattr(spectral, "_rayleigh_ritz", spy_ritz)
+        spectrum_topk(path_cayley(4), "adjacency", k=2)
+        assert ritz_steps and calls == [(b, b) for b in ritz_steps]
 
 
 class TestRegularHarness:
