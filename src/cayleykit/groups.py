@@ -15,7 +15,11 @@ classical deterministic Schreier verification, which is exact for any input.
 Orders are Python integers, so 22! and beyond stay exact.
 
 A transversal entry is the inverse of its coset representative, the one
-table sifting applies; a level generator is kept with its inverse.
+table sifting applies; a level generator is kept with its inverse.  The
+generators of level j fix the base points b_0..b_{j-1}, so the orbit of b_j
+has room for at most n - j points.  A level whose orbit fills that room is
+complete: a new generator can add no point to it, so it joins the level's
+generators without an orbit sweep, and the chain is the one sweeping builds.
 
 Finished chains are immutable in practice and safe to share between threads;
 all queries are pure.
@@ -44,15 +48,19 @@ class _Level:
     base point to p: the table that sifting applies.  Its keys, in insertion
     order, are the orbit.  ``gens`` holds (g, g^-1) for every strong
     generator fixing all earlier base points, so the lists are nested level
-    to level as classical Schreier-Sims requires.
+    to level as classical Schreier-Sims requires.  ``room`` is n - depth, the
+    number of points those generators can move the base point to: once the
+    orbit holds that many, no generator can extend it, and ``_add_element``
+    appends to ``gens`` without calling ``add_gen``.
     """
 
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "room")
 
-    def __init__(self, point: int, identity: tuple):
+    def __init__(self, point: int, identity: tuple, room: int):
         self.point = point
         self.gens: list = []
         self.transversal: dict = {point: identity}
+        self.room = room
 
     def add_gen(self, g: tuple, g_inv: tuple) -> None:
         self.gens.append((g, g_inv))
@@ -124,12 +132,16 @@ class StabilizerChain:
             return None
         if stop == len(self._levels):
             base_point = next(i for i, x in enumerate(residue) if x != i)
-            self._levels.append(_Level(base_point, self._identity))
+            self._levels.append(_Level(base_point, self._identity, self.degree - stop))
         # The residue fixes every base point above its stop level, so it is a
-        # level generator for each of those levels as well (nesting).
+        # level generator for each of those levels as well (nesting).  A level
+        # whose orbit fills its room takes it without a sweep.
         residue_inv = invert_map(residue)
-        for j in range(stop + 1):
-            self._levels[j].add_gen(residue, residue_inv)
+        for level in self._levels[:stop + 1]:
+            if len(level.transversal) == level.room:
+                level.gens.append((residue, residue_inv))
+            else:
+                level.add_gen(residue, residue_inv)
         return stop
 
     def _pump(self) -> bool:
@@ -257,7 +269,7 @@ def orbits(gens: Sequence[Permutation], n: int) -> OrbitPartition:
     for g in gens:
         if g.degree != n:
             raise ValueError(f"generator degree {g.degree} != {n}")
-    arcs = [(i, x) for g in gens for i, x in enumerate(g._map)]
+    arcs = [(i, x) for g in gens for i, x in enumerate(g._map) if i != x]
     blocks = connected_components(n, arcs)
     return OrbitPartition(tuple(tuple(v + 1 for v in block) for block in blocks))
 

@@ -47,6 +47,10 @@ class SpectrumReport:
     def to_csv(self) -> str:
         lines = ["kind,rank,eigenvalue,multiplicity,residual"]
         for rank, (value, mult, residual) in enumerate(self.entries, start=1):
+            # A value within its residual of 0 is printed as 0 (never -0),
+            # not as rounding noise that moves with the BLAS build.
+            if abs(value) <= residual:
+                value = 0.0
             lines.append(
                 f"{self.kind},{rank},{value:.12g},{mult},{residual:.3g}"
             )

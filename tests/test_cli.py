@@ -160,15 +160,20 @@ class TestVerify:
         assert code == 0 and "generates=symmetric" in stdout
         assert degrees == [22]
 
-    def test_basic_tree_k5_on_56_points(self, capsys, tmp_path):
-        gens = tmp_path / "basic5.gens"
+    @pytest.mark.parametrize("ctype, n", [
+        pytest.param("2,2,2,2,2", 56, id="2,2,2,2,2@56"),
+        pytest.param("2,2,2", 120, id="2,2,2@120"),
+        pytest.param("2", 200, id="2@200"),
+    ])
+    def test_order_is_n_factorial_at_scale(self, ctype, n, capsys, tmp_path):
+        gens = tmp_path / "set.gens"
         code, _, _ = run_cli(
-            ["construct", "--type", "2,2,2,2,2", "--n", "56", "--out", str(gens)], capsys
+            ["construct", "--type", ctype, "--n", str(n), "--out", str(gens)], capsys
         )
         assert code == 0
         code, stdout, _ = run_cli(["verify", str(gens)], capsys)
         assert code == 0
-        assert f"order={math.factorial(56)}\n" in stdout
+        assert f"order={math.factorial(n)}\n" in stdout
         assert "generates=symmetric\n" in stdout
 
     def test_balance_past_32_cycles(self, capsys, tmp_path):

@@ -8,12 +8,13 @@ from cayleykit.errors import CapExceeded
 from cayleykit.gensets import construct, construct_basic_tree, construct_cycle_tree
 from cayleykit.groups import (
     StabilizerChain,
+    _Level,
     build_chain,
     enumerate_elements,
     generates,
     orbits,
 )
-from cayleykit.perms import CycleType, Permutation
+from cayleykit.perms import CycleType, Permutation, compose_maps, invert_map
 
 
 def P(text, n):
@@ -83,6 +84,17 @@ def random_group_corpus():
     return corpus
 
 
+def schreier_repair_corpus():
+    """The seeded (n, tables) of 64 random groups of degree 3-9 that the
+    Schreier check completes when the pump is off."""
+    rng = random.Random(3517)
+    corpus = []
+    for _ in range(64):
+        n = rng.randint(3, 9)
+        corpus.append((n, [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))]))
+    return corpus
+
+
 # One member of each construction family, as `cayleykit construct` builds it.
 FAMILY_MEMBERS = (("4", 22), ("6", 17), ("2,2,2", 22), ("2,3", 16), ("2,3,3", 36), ("2,4,4", 50))
 
@@ -131,21 +143,22 @@ class TestBuildChain:
             build_chain([P("(1 2)", 3)], 4)
 
 
+# Sets the pump alone certifies, once stalling into the Schreier check.
+PUMP_SETS = [
+    pytest.param(lambda: construct_cycle_tree(4, 22), id="4@22"),
+    pytest.param(lambda: construct_cycle_tree(4, 30), id="4@30"),
+    *(pytest.param(lambda n=n: construct_cycle_tree(6, n), id=f"6@{n}")
+      for n in range(17, 22)),
+    pytest.param(lambda: construct_basic_tree(3), id="2,2,2@22"),
+    pytest.param(lambda: construct_basic_tree(5), id="basic-k5@56"),
+]
+
+
 class TestPump:
     """The product-replacement pump alone certifies S_n on sets whose
     correlated state-word sifting used to stall into the Schreier check."""
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            pytest.param(lambda: construct_cycle_tree(4, 22), id="4@22"),
-            pytest.param(lambda: construct_cycle_tree(4, 30), id="4@30"),
-            *(pytest.param(lambda n=n: construct_cycle_tree(6, n), id=f"6@{n}")
-              for n in range(17, 22)),
-            pytest.param(lambda: construct_basic_tree(3), id="2,2,2@22"),
-            pytest.param(lambda: construct_basic_tree(5), id="basic-k5@56"),
-        ],
-    )
+    @pytest.mark.parametrize("make", PUMP_SETS)
     def test_certifies_symmetric_group_without_fallback(self, make, monkeypatch):
         def no_fallback(self):
             raise AssertionError("the pump fell back to the Schreier check")
@@ -179,10 +192,7 @@ class TestSchreierRepair:
             return stop
 
         monkeypatch.setattr(StabilizerChain, "_check_level", counted)
-        rng = random.Random(3517)
-        for _ in range(64):
-            n = rng.randint(3, 9)
-            tables = [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))]
+        for n, tables in schreier_repair_corpus():
             gens = [Permutation._from_zero_based(tuple(t)) for t in tables]
             order = build_chain(gens, n).order()
             oracle = combinatorics.PermutationGroup([combinatorics.Permutation(t) for t in tables])
@@ -190,6 +200,122 @@ class TestSchreierRepair:
             if n <= 7:
                 assert order == len(enumerate_elements(gens, n, math.factorial(n))), tables
         assert len(repairs) >= 60
+
+
+def sweep(level, g, g_inv):
+    """Reference: install (g, g^-1) on ``level`` and sweep its orbit, as every
+    install did before a level whose orbit fills its room skipped the sweep."""
+    level.gens.append((g, g_inv))
+    trans = level.transversal
+    orbit = list(trans)
+    start = len(orbit)
+    for p in orbit:
+        q = g[p]
+        if q not in trans:
+            trans[q] = compose_maps(g_inv, trans[p])
+            orbit.append(q)
+    frontier = orbit[start:]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for h, h_inv in level.gens:
+                q = h[p]
+                if q not in trans:
+                    trans[q] = compose_maps(h_inv, trans[p])
+                    nxt.append(q)
+        frontier = nxt
+
+
+def sweeping_add_element(self, g, start=0):
+    """Reference ``StabilizerChain._add_element``: every level up to the stop
+    level sweeps its orbit with the new residue."""
+    residue, stop = self._strip(g, start)
+    if residue == self._identity:
+        return None
+    if stop == len(self._levels):
+        base_point = next(i for i, x in enumerate(residue) if x != i)
+        self._levels.append(_Level(base_point, self._identity, self.degree - stop))
+    residue_inv = invert_map(residue)
+    for j in range(stop + 1):
+        sweep(self._levels[j], residue, residue_inv)
+    return stop
+
+
+def chain_state(chain):
+    """Per level: base point, transversal items in insertion order, gens."""
+    return [(level.point, list(level.transversal.items()), list(level.gens))
+            for level in chain._levels]
+
+
+def tables_to_gens(corpus):
+    return [([Permutation._from_zero_based(tuple(t)) for t in tables], n)
+            for n, tables in corpus]
+
+
+def construct_sets():
+    return [(construct(CycleType.from_text(text), n).elements, n)
+            for text, n in (("2,4,4", 55), ("2,3,3", 45), ("6", 40))]
+
+
+class TestFullLevels:
+    """A level whose orbit holds n - depth points takes new generators
+    without a sweep; the chain is the one the always-sweeping reference
+    builds, level by level."""
+
+    @staticmethod
+    def assert_same_chains(cases, monkeypatch):
+        built = [chain_state(build_chain(gens, n)) for gens, n in cases]
+        with monkeypatch.context() as patched:
+            patched.setattr(StabilizerChain, "_add_element", sweeping_add_element)
+            reference = [chain_state(build_chain(gens, n)) for gens, n in cases]
+        assert built == reference
+
+    @pytest.mark.parametrize("make", PUMP_SETS)
+    def test_pump_sets(self, make, monkeypatch):
+        T = make()
+        self.assert_same_chains([(T.elements, T.degree)], monkeypatch)
+
+    def test_random_intransitive_and_imprimitive_groups(self, monkeypatch):
+        corpus = [(n, tables) for n, _, tables in random_group_corpus()]
+        self.assert_same_chains(tables_to_gens(corpus), monkeypatch)
+
+    def test_schreier_repair(self, monkeypatch):
+        monkeypatch.setattr(StabilizerChain, "_pump", lambda self: False)
+        self.assert_same_chains(tables_to_gens(schreier_repair_corpus()), monkeypatch)
+
+    def test_construct_sets(self, monkeypatch):
+        self.assert_same_chains(construct_sets(), monkeypatch)
+
+    def test_no_sweep_runs_on_a_full_level(self, monkeypatch):
+        sweeps = []
+        add_gen = _Level.add_gen
+
+        def spy(level, g, g_inv):
+            sweeps.append(len(level.transversal) == level.room)
+            add_gen(level, g, g_inv)
+
+        monkeypatch.setattr(_Level, "add_gen", spy)
+        installs = 0
+        for gens, n in construct_sets():
+            chain = build_chain(gens, n)
+            assert chain.order() == math.factorial(n)
+            installs += sum(len(level.gens) for level in chain._levels)
+        assert not any(sweeps)
+        assert len(sweeps) < installs  # some installs skipped the sweep
+
+    def test_a_room_one_short_loses_orbit_points(self, monkeypatch):
+        init = _Level.__init__
+
+        def one_short(level, point, identity, room):
+            init(level, point, identity, room - 1)
+
+        # With the pump on, a short level would keep taking residues it
+        # cannot sift; the Schreier check instead meets a point the short
+        # level never reached.
+        monkeypatch.setattr(StabilizerChain, "_pump", lambda self: False)
+        monkeypatch.setattr(_Level, "__init__", one_short)
+        with pytest.raises(KeyError):
+            build_chain([P("(1 2)", 5), P("(2 3 4 5)", 5)], 5)
 
 
 class TestSympyOracle:

@@ -6,10 +6,18 @@ import pytest
 
 from cayleykit.errors import ConvergenceError
 from cayleykit.gensets import GeneratorSet
-from cayleykit.graphs import SimpleGraph, complete_graph, cycle_graph, petersen_graph
+from cayleykit.graphs import (
+    SimpleGraph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+)
 from cayleykit.perms import CycleType, Permutation
 from cayleykit.cayley import build_cayley
 from cayleykit.spectral import (
+    SpectrumReport,
     check_regular_spectrum,
     jacobi_eigensystem,
     second_eigenvalue_comparison,
@@ -281,6 +289,30 @@ class TestRegularHarness:
         # gap is archived as data
         assert comparison["lambda2"] == pytest.approx(1.0, abs=1e-8)
         assert comparison["gap"] == pytest.approx(math.sqrt(3), abs=1e-6)
+
+
+@pytest.mark.parametrize("graph, kind, k, printed", [
+    pytest.param(lambda: complete_bipartite(3, 3), "adjacency", 2,
+                 ["adjacency,1,3,1", "adjacency,2,0,1"], id="K33-adjacency"),
+    pytest.param(lambda: path_graph(3), "adjacency", 3,
+                 ["adjacency,1,1.41421356237,1", "adjacency,2,0,1",
+                  "adjacency,3,-1.41421356237,1"], id="P3-adjacency"),
+    pytest.param(lambda: path_graph(3), "laplacian", 3,
+                 ["laplacian,1,3,1", "laplacian,2,1,1", "laplacian,3,0,1"], id="P3-laplacian"),
+])
+def test_a_zero_eigenvalue_prints_as_zero(graph, kind, k, printed):
+    # each zero's Rayleigh quotient is rounding noise (1e-32 to 1e-18), and
+    # the residual column varies with the BLAS build, so it is only bounded
+    report = spectrum_topk(graph(), kind, k=k)
+    rows = report.to_csv().splitlines()[1:]
+    assert [row.rsplit(",", 1)[0] for row in rows] == printed
+    assert all(float(row.rsplit(",", 1)[1]) <= report.tolerance for row in rows)
+
+
+def test_only_values_within_their_residual_print_as_zero():
+    report = SpectrumReport("adjacency", 1e-8, ((-0.0, 1, 0.0), (-1e-20, 1, 1e-21)))
+    assert report.to_csv().splitlines()[1:] == [
+        "adjacency,1,0,1,0", "adjacency,2,-1e-20,1,1e-21"]
 
 
 def test_csv_report_shape():
