@@ -82,24 +82,26 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VERIFICATION_FAILURE
+    # every value is computed before the first line, so a failure prints none
     chain = build_chain(T.elements, T.degree)
-    order = chain.order()
-    verdict = generates(T.elements, T.degree, chain)
     preds = gensets.predicates(T, include_balance=args.balance)
-    print(f"degree={T.degree}")
-    print(f"type={T.cycle_type}")
-    print(f"size={len(T)}")
-    print(f"order={order}")
-    print(f"n_factorial={math.factorial(T.degree)}")
-    print(f"generates={verdict}")
-    print(f"semi_connected={'yes' if preds['semi_connected'] else 'no'}")
-    print(f"split={'yes' if preds['split'] else 'no'}")
+    lines = [
+        f"degree={T.degree}",
+        f"type={T.cycle_type}",
+        f"size={len(T)}",
+        f"order={chain.order()}",
+        f"n_factorial={math.factorial(T.degree)}",
+        f"generates={generates(T.elements, T.degree, chain)}",
+        f"semi_connected={'yes' if preds['semi_connected'] else 'no'}",
+        f"split={'yes' if preds['split'] else 'no'}",
+    ]
     if args.balance:
         certificate = preds["balanced"]
-        print(f"balanced={'yes' if certificate is not None else 'no'}")
+        lines.append(f"balanced={'yes' if certificate is not None else 'no'}")
         if certificate is not None:
-            print(f"balance_class_sizes={','.join(str(s) for s in certificate.sizes)}")
-    print(f"lower_bound={gensets.f_lower_bound(T.cycle_type, T.degree)}")
+            lines.append(f"balance_class_sizes={','.join(str(s) for s in certificate.sizes)}")
+    lines.append(f"lower_bound={gensets.f_lower_bound(T.cycle_type, T.degree)}")
+    print("\n".join(lines))
     return 0
 
 

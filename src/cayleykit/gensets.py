@@ -583,6 +583,20 @@ def extended_class_elements(cycle_type: CycleType, n: int) -> list:
     return results
 
 
+def extended_class_size(cycle_type: CycleType, n: int) -> int:
+    """|C(A)| inside S_n, n! / ((n - sum a)! prod_L L^k_L k_L!) where k_L
+    parts have length L, without enumerating it; 0 when the parts need
+    more than n points."""
+    parts = cycle_type.parts
+    moved = sum(parts)
+    if moved > n:
+        return 0
+    size = math.factorial(n) // math.factorial(n - moved)
+    for length in set(parts):
+        size //= length ** parts.count(length) * math.factorial(parts.count(length))
+    return size
+
+
 _BRUTE_CLASS_LIMIT = 10_000
 
 
@@ -595,11 +609,12 @@ def brute_force_f(cycle_type: CycleType, n: int, size_cap: int):
     """
     if size_cap < 1 or size_cap > 4:
         raise ValueError("size_cap must be between 1 and 4")
-    candidates = extended_class_elements(cycle_type, n)
-    if len(candidates) > _BRUTE_CLASS_LIMIT:
-        raise ValueError(f"|C(A)| = {len(candidates)} exceeds the search guard")
-    if not candidates:
+    size = extended_class_size(cycle_type, n)
+    if size > _BRUTE_CLASS_LIMIT:
+        raise ValueError(f"|C(A)| = {size} exceeds the search guard")
+    if not size:
         return None
+    candidates = extended_class_elements(cycle_type, n)
     full = math.factorial(n)
     first = candidates[0]
     others = [g for g in candidates if g != first]

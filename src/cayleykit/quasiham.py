@@ -6,19 +6,20 @@ The doubling network has nodes s, t, x_0..x_{m-1}, y_0..y_{m-1}; each graph
 adjacency (i, j) contributes unit arcs x_i->y_j and x_j->y_i, and s feeds
 every x (capacity 2) while every y drains into t (capacity 2).  A cycle
 factor containing the forced edge set R exists iff a flow of value 2m exists
-with all R arcs saturated.  The network is one residual table (arcs, their
-reverses and an unlimited t->s return); a forced arc has zero residual both
-ways.  Augmentations are applied in mirror pairs (swap the two sides and
-reverse the path), which keeps flow(x_i->y_j) equal to flow(x_j->y_i) at
-every step; this symmetry is what rules out doubled-edge components, and it
-is asserted after every augmentation.  Forcing and augmentation share one
-path search: the shortest residual path, applied with its mirror when the
-mirror still has capacity, else one exhaustive search for a path that
-cannot collide with its own mirror (a "regular" path in Goldberg and
-Karzanov's skew-symmetric flow theory), which settles the question.
+with all R arcs saturated.  The network is one residual table (arcs and
+their reverses); a forced arc has zero residual both ways.  Augmentations
+are applied in mirror pairs (swap the two sides and reverse the path), which
+keeps flow(x_i->y_j) equal to flow(x_j->y_i) at every step; this symmetry is
+what rules out doubled-edge components, and it is asserted after every
+augmentation.  Edges are forced only on a flow of value 2m.  Forcing and
+augmentation share one path search over the x and y nodes: the shortest
+residual path, applied with its mirror when the mirror still has capacity,
+else one exhaustive search for a path that cannot collide with its own
+mirror (a "regular" path in Goldberg and Karzanov's skew-symmetric flow
+theory), which settles the question.
 
 The quasi-hamiltonicity hierarchy (Gutin and Yeo, JCTB 2000, carried over
-to undirected graphs) is decided on these flows, witness first: every
+to undirected graphs) is decided on one network per analyzer, witness first: every
 Hamiltonian cycle a flow produces is verified and kept, and any QH_k(G, R)
 whose R lies on a kept cycle is connected without further flows (the lemma
 is in the ``QuasiHamiltonian`` docstring).  The speculative forcings of one
@@ -31,7 +32,6 @@ and the brute-force oracles deterministic.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -40,8 +40,9 @@ from .graphs import SimpleGraph, connected_components
 from .perms import Permutation
 
 # Node budget of one exhaustive conflict-free path search (a DFS over simple
-# residual paths, exponential in the worst case).  Searches on the test and
-# benchmark graphs (up to 10 vertices) enter at most 91 nodes.
+# residual paths, exponential in the worst case).  Searches on the test graphs
+# enter at most 54 nodes (233 where a bare network augments a graph with a
+# degree-1 vertex), on the benchmark's graphs at most 9.
 _CONFLICT_FREE_NODE_BUDGET = 100_000
 
 # Node budget of one coset partition search (exact-cover backtracking, one
@@ -52,10 +53,10 @@ _COSET_NODE_BUDGET = 100_000
 
 # Speculative forcings (one residual path search deciding one edge of QH_1)
 # that one QuasiHamiltonian analyzer may make.  A forcing, with its share of
-# the flows, costs about 0.2 ms on the 20-vertex flower snark J_5 and 0.4 ms
-# on the 120-vertex S_5 path Cayley graph (2-core host), so the budget stops
-# those two, which no witness decides, after about 11 and 21 s CPU.  The test
-# suite makes at most 6,162 forcings in one analyzer, a benchmark `qh` job 32.
+# the flows, costs 0.07-0.09 ms on the 20-vertex flower snark J_5 and 0.20-0.25
+# ms on the 120-vertex S_5 path Cayley graph (2-core host), so the budget stops
+# those two, which no witness decides, after 3-5 and 10-13 s CPU.  The test
+# suite makes at most 43,054 forcings in one analyzer, a benchmark `qh` job 32.
 _QH_FORCING_BUDGET = 50_000
 
 
@@ -89,15 +90,16 @@ class FlowNetwork:
     Node encoding: x_i = i, y_j = m + j, s = 2m, t = 2m + 1.  All state is
     one residual table: ``res[a][b]`` is the residual capacity of arc a->b.
     A unit arc x_i->y_j carrying flow f has residual 1 - f and its reverse
-    f; s->x_i and y_j->t start at 2 with reverses at 0; the t->s return is
-    unlimited.  Each row lists its arcs in search order: x_i its y's in
-    adjacency order, then s; y_j its x's, then t; s every x; t every y,
-    then s.  A forced arc has zero residual in both directions, so no path
-    can cancel it.  ``mirror`` swaps the sides (x_i <-> y_i, s <-> t), and
-    the mirror of arc a->b is mirror[b]->mirror[a].  Every change journals
-    the arc pair's two old residuals so speculative forcing can roll back.
-    ``force_edge_pair`` and ``augment_pair`` both push flow through
-    ``_augment``, the one mirror-pair path search.
+    f; s->x_i and y_j->t start at 2 with reverses at 0.  Each row lists its
+    arcs in search order: x_i its y's in adjacency order, then s; y_j its
+    x's, then t; s every x; t every y.  A forced arc has zero residual in
+    both directions, so no path can cancel it.  ``mirror`` swaps the sides
+    (x_i <-> y_i, s <-> t), and the mirror of arc a->b is
+    mirror[b]->mirror[a].  Every change journals the arc pair's two old
+    residuals so speculative forcing can roll back.  Edges are forced only
+    on a flow of value 2m; ``force_edge_pair`` and ``augment_pair`` both
+    push flow through ``_augment``, the one mirror-pair path search, which
+    walks the x and y nodes.
     """
 
     def __init__(self, graph: SimpleGraph):
@@ -108,7 +110,7 @@ class FlowNetwork:
         self.res = (
             [{m + j: 1 for j in adj[i]} | {s: 0} for i in range(m)]  # x rows
             + [{i: 0 for i in adj[j]} | {t: 2} for j in range(m)]  # y rows
-            + [{i: 2 for i in range(m)}, {m + j: 0 for j in range(m)} | {s: math.inf}]
+            + [{i: 2 for i in range(m)}, {m + j: 0 for j in range(m)}]
         )
         self.mirror = [*range(m, 2 * m), *range(m), t, s]
         self._journal: list = []
@@ -120,8 +122,6 @@ class FlowNetwork:
         """Push one unit along every arc of ``path``."""
         res, journal = self.res, self._journal
         for a, b in zip(path, path[1:]):
-            if a == self.t and b == self.s:
-                continue  # the unlimited return keeps no state
             journal.append((a, b, res[a][b], res[b][a]))
             res[a][b] -= 1
             res[b][a] += 1
@@ -151,25 +151,18 @@ class FlowNetwork:
         """Whether both arcs of edge {i, j} carry flow."""
         return not self.res[i][self.m + j] and not self.res[j][self.m + i]
 
-    def _residual_from(self, node: int, terminals: bool) -> list:
-        """Residual out-neighbours of ``node``, in search order.
+    def _residual_from(self, node: int) -> list:
+        """Residual out-neighbours of ``node`` among the x and y nodes, in search order."""
+        return [nb for nb, r in self.res[node].items() if r and nb < self.s]
 
-        With ``terminals`` the walk may route through s and t, including the
-        t->s circulation return that lets a repair raise the total flow;
-        plain augmentation searches stay internal (a path that re-enters the
-        terminals would be value-neutral and could loop forever).
-        """
-        limit = self.t + 1 if terminals else self.s
-        return [nb for nb, r in self.res[node].items() if r and nb < limit]
-
-    def _bfs(self, source: int, targets, terminals: bool):
+    def _bfs(self, source: int, targets):
         """Shortest residual path from ``source`` to any node in ``targets``."""
         parent = {source: None}
         frontier = [source]
         while frontier:
             nxt = []
             for node in frontier:
-                for nb in self._residual_from(node, terminals):
+                for nb in self._residual_from(node):
                     if nb in parent:
                         continue
                     parent[nb] = node
@@ -188,9 +181,9 @@ class FlowNetwork:
     # A path whose mirror is applied alongside it loads an arc and its
     # mirror arc equally: each crossing of either by the path is one use of
     # both.  So the pair may be crossed min(res[arc], res[mirror arc]) times
-    # in total; the self-mirrored t->s return is unlimited.
+    # in total.  No arc is its own mirror, as the graph has no loops.
 
-    def _conflict_free_path(self, source: int, targets, terminals: bool):
+    def _conflict_free_path(self, source: int, targets):
         """Exhaustive DFS for a simple residual path whose mirror is jointly
         feasible with it; None when no such path exists.  Deterministic.
 
@@ -210,7 +203,7 @@ class FlowNetwork:
                 raise BudgetExceeded(
                     f"conflict-free path search exceeded {_CONFLICT_FREE_NODE_BUDGET} nodes"
                 )
-            for nb in self._residual_from(node, terminals):
+            for nb in self._residual_from(node):
                 if nb in on_path:
                     continue
                 twin = (mirror[nb], mirror[node])
@@ -260,8 +253,7 @@ class FlowNetwork:
         self.rollback(mark)
         return False
 
-    def _augment(self, source: int, targets, terminals: bool,
-                 head: tuple = (), tail: tuple = ()) -> bool:
+    def _augment(self, source: int, targets, head: tuple = (), tail: tuple = ()) -> bool:
         """Push one unit from ``source`` to ``targets`` together with its mirror.
 
         The shortest residual path goes first; when its mirror no longer
@@ -271,31 +263,34 @@ class FlowNetwork:
         and t for an augmentation).  ``source`` is on the other side from
         every target (y_j to {x_i}, or x_a to y's), so no path is empty.
         """
-        path = self._bfs(source, targets, terminals)
+        path = self._bfs(source, targets)
         if path is None:
             return False
         if self._apply_pair([*head, *path, *tail]):
             return True
-        path = self._conflict_free_path(source, targets, terminals)
+        path = self._conflict_free_path(source, targets)
         return path is not None and self._apply_pair([*head, *path, *tail])
 
     def force_edge_pair(self, i: int, j: int) -> bool:
-        """Force flow through both arcs of the undirected edge {i, j},
-        mirror-pairing the repair paths; False (with rollback) if impossible.
+        """Force flow through both arcs of the undirected edge {i, j} on a
+        flow of value 2m, mirror-pairing the repair paths; False (with
+        rollback) if impossible, ValueError on a flow below value 2m.
 
         Both arcs are locked first; then one repair path from y_j back to
-        x_i (it may route through t and s, raising the total flow) restores
-        the balance of the first arc, and its mirror that of the second.
-        While the edge is not saturated neither arc carries flow (mirror
-        invariant), so locking the partner arc x_j->y_i only keeps the
-        repair and its mirror off it.
+        x_i restores the balance of the first arc, and its mirror that of
+        the second.  Every s->x and y->t arc is saturated, so the repair
+        stays off s and t and keeps the value.  While the edge is not
+        saturated neither arc carries flow (mirror invariant), so locking
+        the partner arc x_j->y_i only keeps the repair and its mirror off it.
         """
+        if self.value() < 2 * self.m:
+            raise ValueError("edges are forced only on a flow of value 2m")
         x_i, y_j, x_j, y_i = i, self.m + j, j, self.m + i
         saturated = self._saturated(i, j)
         mark = self.checkpoint()
         self._force(x_i, y_j)
         self._force(x_j, y_i)
-        if saturated or self._augment(y_j, {x_i}, terminals=True):
+        if saturated or self._augment(y_j, {x_i}):
             return True
         self.rollback(mark)
         return False
@@ -312,7 +307,7 @@ class FlowNetwork:
                 continue
             allow_self = not res[a][s]  # x_a carries no flow yet
             targets = {m + b for b in range(m) if res[m + b][t] and (b != a or allow_self)}
-            if targets and self._augment(a, targets, False, (s,), (t,)):
+            if targets and self._augment(a, targets, (s,), (t,)):
                 return True
         return False
 
@@ -326,15 +321,11 @@ class FlowNetwork:
         return frozenset(e for e in self.graph.edges if self._saturated(*e))
 
     def edge_usable(self, i: int, j: int) -> Optional[frozenset]:
-        """The saturated edges of a symmetric maximum flow that also
+        """The saturated edges of a symmetric flow of value 2m that also
         saturates edge {i, j}, or None when no such flow exists; decided by
         speculatively forcing the pair and rolling back."""
-        if self._saturated(i, j):
-            return self.saturated_edges()
         mark = self.checkpoint()
-        value_before = self.value()
-        ok = self.force_edge_pair(i, j) and self.value() == value_before
-        factor = self.saturated_edges() if ok else None
+        factor = self.saturated_edges() if self.force_edge_pair(i, j) else None
         self.rollback(mark)
         return factor
 
@@ -346,32 +337,29 @@ def _check_forced(graph: SimpleGraph, R: frozenset) -> None:
             raise ValueError(f"forced edge {e} is not an edge of the graph")
 
 
-def _forced_flow(graph: SimpleGraph, R: frozenset) -> Optional[FlowNetwork]:
-    """A network carrying a symmetric flow of value 2m with every edge of the
-    normalized set ``R`` forced (in sorted order), or None when no cycle
-    factor contains ``R``.  Raises ValueError for a member of ``R`` that is
-    not an edge of ``graph``.  A vertex with fewer than two neighbours lies
+def _max_flow(graph: SimpleGraph) -> Optional[FlowNetwork]:
+    """A network carrying a symmetric flow of value 2m, or None when the
+    graph has no cycle factor.  A vertex with fewer than two neighbours lies
     on no cycle, so no network is built for it.
     """
-    _check_forced(graph, R)
     if any(len(nbrs) < 2 for nbrs in graph.adjacency):
         return None
     net = FlowNetwork(graph)
-    if all(net.force_edge_pair(i, j) for i, j in sorted(R)) and net.run_to_max() == 2 * net.m:
-        return net
-    return None
+    return net if net.run_to_max() == 2 * net.m else None
 
 
 def cycle_factor_forced(graph: SimpleGraph, forced: Iterable[tuple]) -> Optional[CycleFactor]:
     """A cycle factor containing every edge of ``forced``, or None.
 
-    Thm-6 style: force flow through both mirror arcs of every forced edge,
-    then push mirror-paired augmentations to a flow of 2m; the saturated
-    symmetric arcs are the factor.
+    Thm-6 style: push mirror-paired augmentations to a flow of 2m, then
+    force flow through both mirror arcs of every forced edge in sorted
+    order, each repair keeping the value; the saturated symmetric arcs are
+    the factor.  Raises ValueError for a forced pair that is not an edge.
     """
     R = _normalize_edges(forced)
-    net = _forced_flow(graph, R)
-    if net is None:
+    _check_forced(graph, R)
+    net = _max_flow(graph)
+    if net is None or not all(net.force_edge_pair(i, j) for i, j in sorted(R)):
         return None
     factor = net.saturated_edges()
     if not R <= factor:
@@ -484,13 +472,16 @@ class QuasiHamiltonian:
     plus the undecided edges are not.  Every level sits inside QH_1 of the
     same R, so a disconnected QH_1 answers every deeper level at once.
 
-    Budget.  Each speculative forcing in ``qh1`` (one residual path search
-    deciding one edge) counts against ``_QH_FORCING_BUDGET`` for the whole
-    analyzer; past it, BudgetExceeded is raised.
+    Flow and budget.  One network per analyzer holds a flow of value 2m;
+    ``qh1`` forces R on it and always rolls it back.  Each speculative
+    forcing in ``qh1`` (one residual path search deciding one edge) counts
+    against ``_QH_FORCING_BUDGET`` for the whole analyzer; past it,
+    BudgetExceeded is raised.
     """
 
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
+        self._net = _max_flow(graph)
         self.witnesses: set = set()
         self.forcings = 0
         self._qh1_cache: dict = {}
@@ -517,21 +508,27 @@ class QuasiHamiltonian:
         forcing leaves a factor through R and the edge, all of it usable."""
         if R in self._qh1_cache:
             return self._qh1_cache[R]
-        net = _forced_flow(self.graph, R)
+        _check_forced(self.graph, R)
+        net = self._net
         usable: set = set()
         if net is not None:
-            usable |= self._keep(net.saturated_edges())
-            for e in self.graph.edges:
-                if e in usable:
-                    continue
-                self.forcings += 1
-                if self.forcings > _QH_FORCING_BUDGET:
-                    raise BudgetExceeded(
-                        f"quasi-hamiltonicity hierarchy exceeded {_QH_FORCING_BUDGET} forcings"
-                    )
-                factor = net.edge_usable(*e)
-                if factor is not None:
-                    usable |= self._keep(factor)
+            mark = net.checkpoint()
+            try:
+                if all(net.force_edge_pair(i, j) for i, j in sorted(R)):
+                    usable |= self._keep(net.saturated_edges())
+                    for e in self.graph.edges:
+                        if e in usable:
+                            continue
+                        self.forcings += 1
+                        if self.forcings > _QH_FORCING_BUDGET:
+                            raise BudgetExceeded(
+                                f"quasi-hamiltonicity hierarchy exceeded {_QH_FORCING_BUDGET} forcings"
+                            )
+                        factor = net.edge_usable(*e)
+                        if factor is not None:
+                            usable |= self._keep(factor)
+            finally:
+                net.rollback(mark)
         result = self._qh1_cache[R] = frozenset(usable)
         return result
 

@@ -270,12 +270,12 @@ def test_c11_flow_factors_agree_with_brute_force():
         if mine is not None:
             assert set(forced) <= mine.edges
         net = FlowNetwork(g)
-        for i, j in sorted((min(e), max(e)) for e in forced):
-            if not net.force_edge_pair(i, j):
-                break
-        else:
-            net.run_to_max()
-            net.assert_mirror()
+        if net.run_to_max() == 2 * net.m:
+            for i, j in sorted((min(e), max(e)) for e in forced):
+                if not net.force_edge_pair(i, j):
+                    break
+            else:
+                net.assert_mirror()
         mirror_checks += net.mirror_checks
     assert mirror_checks > 0
     report("criterion 11: flow factors match the oracle on 200 seeded instances; "

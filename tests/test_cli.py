@@ -128,6 +128,14 @@ class TestVerify:
         assert stdout == ""
         assert stderr == "error: out of memory in verify\n"
 
+    def test_a_failure_prints_no_report_line(self, capsys, tmp_path):
+        gens = tmp_path / "one.gens"
+        gens.write_text("n=1 type=2\n")
+        code, stdout, stderr = run_cli(["verify", str(gens)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: n must be >= 2\n"
+
     def test_empty_set_has_order_one(self, capsys, tmp_path):
         gens = tmp_path / "empty.gens"
         gens.write_text("n=3 type=2\n")

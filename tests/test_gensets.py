@@ -498,6 +498,21 @@ class TestBruteForce:
         for n in (3, 4, 5):
             assert brute_force_f(CycleType([2]), n, 4) == f_lower_bound(CycleType([2]), n)
 
+    @pytest.mark.parametrize("parts", [[2], [3], [4], [2, 2], [3, 2], [2, 2, 2], [3, 3], [4, 2, 2]])
+    def test_class_size_formula_matches_the_enumeration(self, parts):
+        for n in range(2, 9):
+            expected = len(extended_class_elements(CycleType(parts), n))
+            assert gensets.extended_class_size(CycleType(parts), n) == expected, n
+
+    def test_guard_trips_before_enumerating(self, monkeypatch):
+        # (3,3,3) on 16 points: 16! / (7! 3^3 3!) = 25,625,600 elements
+        def never(cycle_type, n):
+            raise AssertionError("C(A) was enumerated")
+
+        monkeypatch.setattr(gensets, "extended_class_elements", never)
+        with pytest.raises(ValueError, match=r"\|C\(A\)\| = 25625600 exceeds"):
+            brute_force_f(CycleType([3, 3, 3]), 16, 2)
+
 
 def feasible_split_semiconnected(k, n):
     """Necessary counting conditions for a split semi-connected set of m

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -102,10 +103,16 @@ class TestCycleFactorForced:
     def test_mirror_invariant_is_checked_during_runs(self):
         g = petersen_graph()
         net = FlowNetwork(g)
-        assert net.force_edge_pair(0, 1)
         net.run_to_max()
+        assert net.force_edge_pair(0, 1)
         assert net.mirror_checks > 0
         net.assert_mirror()
+
+    def test_forcing_needs_a_flow_of_value_2m(self):
+        net = FlowNetwork(petersen_graph())
+        with pytest.raises(ValueError, match="value 2m"):
+            net.force_edge_pair(0, 1)
+        assert net.value() == 0 and net.checkpoint() == 0
 
 
 class TestFactorValidation:
@@ -187,6 +194,19 @@ class TestHamiltonicity:
         assert rows == [(1, 5, True), (2, 5, True), (3, 5, True)]
 
 
+def _counted_networks(monkeypatch):
+    """The graph of every FlowNetwork built from now on, in order."""
+    networks = []
+    build = FlowNetwork.__init__
+
+    def counted(self, graph):
+        networks.append(graph)
+        build(self, graph)
+
+    monkeypatch.setattr(FlowNetwork, "__init__", counted)
+    return networks
+
+
 def transposition_cayley(n, pairs):
     T = GeneratorSet(n, [Permutation.from_text(f"({a} {b})", n) for a, b in pairs], CycleType([2]))
     return build_cayley(T)
@@ -224,14 +244,7 @@ class TestNamedInstances:
             assert brute_hamiltonian(graph)
 
     def test_cycle_decides_after_one_flow(self, monkeypatch):
-        networks = []
-        build = FlowNetwork.__init__
-
-        def counted(self, graph):
-            networks.append(graph)
-            build(self, graph)
-
-        monkeypatch.setattr(FlowNetwork, "__init__", counted)
+        networks = _counted_networks(monkeypatch)
         assert hamiltonian_via_qh(cycle_graph(8))
         assert len(networks) == 1
 
@@ -360,8 +373,9 @@ FALLBACK_GRAPH = SimpleGraph(8, [
 ])
 
 
-# Augmenting to the maximum flow here (in cycle_factor_forced or qh1) meets a
-# shortest path whose mirror is blocked, and the exhaustive search finds one.
+# Augmenting to the maximum flow here (in cycle_factor_forced or when an
+# analyzer builds its network) meets a shortest path whose mirror is blocked,
+# and the exhaustive search finds one.
 AUGMENT_FALLBACK_GRAPH = SimpleGraph(9, [
     (0, 2), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 5), (1, 6), (1, 7), (2, 5),
     (2, 7), (3, 4), (3, 6), (3, 7), (3, 8), (4, 5), (4, 7), (5, 7), (6, 7), (7, 8),
@@ -373,11 +387,12 @@ class TestConflictFreeBudget:
         calls = []
         search = FlowNetwork._conflict_free_path
 
-        def recorded(self, source, targets, terminals):
-            calls.append(terminals)
-            path = search(self, source, targets, terminals)
+        def recorded(self, source, targets):
+            repair = source >= self.m  # a forcing's repair starts at a y, an augmentation at an x
+            calls.append(repair)
+            path = search(self, source, targets)
             if found is not None:
-                found.append((terminals, path is not None))
+                found.append((repair, path is not None))
             return path
 
         monkeypatch.setattr(FlowNetwork, "_conflict_free_path", recorded)
@@ -413,7 +428,7 @@ class TestConflictFreeBudget:
                 net.edge_usable(i, j)
 
 
-# With (0, 5) forced, deciding (0, 3) here takes the exhaustive search, and
+# With (1, 2) forced, deciding (1, 3) here takes the exhaustive search, and
 # only a path that respects the mirror rule leads to the factor.
 MIRROR_RULE_GRAPH = SimpleGraph(8, [
     (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5), (1, 7),
@@ -425,12 +440,24 @@ class TestLevelOneOracle:
     """QH_1(G, R) against its definition, decided by exhaustive search."""
 
     @staticmethod
-    def _assert_level_one_matches_oracle(g):
-        for R in [frozenset()] + [frozenset({f}) for f in g.edges]:
+    def _assert_level_one_matches_oracle(g, pairs=None, triples=8, seed=0):
+        """R empty, every edge, every pair of edges (or ``pairs`` seeded
+        ones) and ``triples`` seeded triples, all on one analyzer, so each R
+        is forced edge by edge on the analyzer's one maximum flow."""
+        rng = random.Random(seed)
+        two = [frozenset(c) for c in itertools.combinations(g.edges, 2)]
+        forced = [frozenset()] + [frozenset({e}) for e in g.edges]
+        forced += two if pairs is None else rng.sample(two, min(pairs, len(two)))
+        if len(g.edges) >= 3:
+            forced += [frozenset(rng.sample(g.edges, 3)) for _ in range(triples)]
+        oracle = functools.cache(lambda S: brute_cycle_factor(g, S))
+        analyzer = QuasiHamiltonian(g)
+        for R in forced:
+            factor = oracle(R)  # a factor through R already covers its own edges
             expected = frozenset(
-                e for e in g.edges if brute_cycle_factor(g, R | {e}) is not None
-            )
-            assert QuasiHamiltonian(g).qh1(R) == expected, sorted(R)
+                e for e in g.edges if e in factor.edges or oracle(R | {e})
+            ) if factor else frozenset()
+            assert analyzer.qh1(R) == expected, sorted(R)
 
     @pytest.mark.parametrize("graph", [
         petersen_graph(), complete_bipartite(3, 3), FALLBACK_GRAPH, MIRROR_RULE_GRAPH,
@@ -441,7 +468,39 @@ class TestLevelOneOracle:
     def test_random_connected_graphs(self):
         rng = random.Random(77)
         for _ in range(30):
-            self._assert_level_one_matches_oracle(random_connected_graph(rng, 3, 8))
+            self._assert_level_one_matches_oracle(random_connected_graph(rng, 3, 8), pairs=8)
+
+
+class TestOneNetworkPerAnalyzer:
+    def test_one_network_per_analyzer(self, monkeypatch):
+        networks = _counted_networks(monkeypatch)
+        qh_report(petersen_graph(), 3)
+        assert len(networks) == 1
+        assert hamiltonian_via_qh(AUGMENT_FALLBACK_GRAPH) == brute_hamiltonian(AUGMENT_FALLBACK_GRAPH)
+        assert networks == [petersen_graph(), AUGMENT_FALLBACK_GRAPH]
+
+    # Both forced edges lie off the network's maximum flow.  (1, 6) is forced
+    # and the first speculative forcing stops; (2, 7) lies in no factor, and
+    # forcing it reaches the exhaustive search, which stops.
+    @pytest.mark.parametrize("budget,edge", [("_QH_FORCING_BUDGET", (1, 6)),
+                                             ("_CONFLICT_FREE_NODE_BUDGET", (2, 7))])
+    def test_a_budget_stop_rolls_the_network_back(self, monkeypatch, budget, edge):
+        g = FALLBACK_GRAPH
+        analyzer = QuasiHamiltonian(g)
+        net = analyzer._net
+        mark, flow = net.checkpoint(), net.saturated_edges()
+        R = frozenset({edge})
+        assert not R <= flow
+        limit = getattr(quasiham, budget)
+        monkeypatch.setattr(quasiham, budget, 0)
+        with pytest.raises(BudgetExceeded):
+            analyzer.qh1(R)
+        assert net.checkpoint() == mark and net.saturated_edges() == flow
+        monkeypatch.setattr(quasiham, budget, limit)
+        fresh = QuasiHamiltonian(g)
+        for R in [frozenset()] + [frozenset({e}) for e in g.edges]:
+            assert analyzer.qh1(R) == fresh.qh1(R), sorted(R)
+        assert net.checkpoint() == mark and net.saturated_edges() == flow
 
 
 class TestCosetPartition:
